@@ -29,6 +29,14 @@
 //! `latency.queue`, and under [`RoutingPolicy::LeastLoaded`](crate::fleet::RoutingPolicy)
 //! the door keeps [`GuillotineFleet::set_queued_load`] in sync so routing
 //! counts waiting work as load.
+//!
+//! Every formed batch settles through one path, whatever the door's
+//! [`RecoveryConfig`]. A door without [`FrontDoor::enable_recovery`] runs
+//! [`RecoveryConfig::disabled`]: no retries or hedges, a stranded request
+//! is refused at once, and the ladder keeps only its fail-closed floor.
+//! The ticket-idempotency and session-order witnesses
+//! ([`RecoveryStats::double_serves`](crate::fleet::RecoveryStats) and
+//! `session_reorderings`) run for every door.
 
 use crate::fleet::{BatchAttempt, FleetReport, FleetStats, GuillotineFleet, RoutingPolicy};
 use crate::recovery::{DegradationMode, RecoveryConfig};
@@ -41,7 +49,7 @@ use guillotine_admit::{
 };
 use guillotine_journal::{rebuild, CompletionKind, SnapshotData, WalRecord};
 use guillotine_telemetry::{IncidentKind, NewSpan, SpanId, TelemetryConfig};
-use guillotine_types::{DetRng, Result, SimDuration, SimInstant, TicketId};
+use guillotine_types::{DetRng, Result, SessionId, SimDuration, SimInstant, TicketId};
 
 pub use guillotine_journal::{JournalConfig, JournalStore};
 use std::collections::{HashMap, HashSet};
@@ -136,10 +144,9 @@ pub struct FrontDoor {
     /// with [`DeadlinePolicy::targeting_first_token`] by
     /// [`FrontDoor::ttft_deadline_aware`], but independently toggleable.
     ttft_deadlines: bool,
-    /// Self-healing budget; `None` keeps the door on the plain serve path
-    /// (byte-identical to `serve_batch`, as the equivalence proptest
-    /// demands).
-    recovery: Option<RecoveryConfig>,
+    /// Self-healing budget; [`RecoveryConfig::disabled`] unless
+    /// [`FrontDoor::enable_recovery`] set one.
+    recovery: RecoveryConfig,
     /// Deterministic backoff-jitter source (seeded from the config).
     recovery_rng: DetRng,
     /// Tickets that have completed, by raw id — the idempotency layer: a
@@ -178,6 +185,8 @@ impl FrontDoor {
         policy: Box<dyn BatchPolicy>,
     ) -> Self {
         let queued_by_shard = vec![0; fleet.shard_count()];
+        let recovery = RecoveryConfig::disabled();
+        let mode_since = fleet.clock.now();
         FrontDoor {
             fleet,
             controller: AdmissionController::new(config.capacity, config.shed, policy),
@@ -185,12 +194,12 @@ impl FrontDoor {
             queued_by_shard,
             queued_placements: HashMap::new(),
             ttft_deadlines: false,
-            recovery: None,
-            recovery_rng: DetRng::seed(0),
+            recovery,
+            recovery_rng: DetRng::seed(recovery.seed),
             completed_tickets: HashSet::new(),
             session_progress: HashMap::new(),
             mode: DegradationMode::Normal,
-            mode_since: SimInstant::ZERO,
+            mode_since,
             journal: None,
             pending_control_crashes: Vec::new(),
             last_control_recovery: None,
@@ -250,11 +259,11 @@ impl FrontDoor {
     /// bounded jittered backoff, stragglers are timed out / hedged onto
     /// another shard, ticket idempotency suppresses duplicate completions,
     /// and the door walks the graceful-degradation ladder as fleet health
-    /// changes. Without this, the door serves on the plain path
-    /// (byte-identical to `serve_batch`).
+    /// changes. Without this, the door runs [`RecoveryConfig::disabled`]:
+    /// no retries or hedges, and only the fail-closed floor of the ladder.
     pub fn enable_recovery(&mut self, config: RecoveryConfig) {
         self.recovery_rng = DetRng::seed(config.seed);
-        self.recovery = Some(config);
+        self.recovery = config;
         self.mode = DegradationMode::Normal;
         self.mode_since = self.fleet.clock.now();
     }
@@ -263,11 +272,6 @@ impl FrontDoor {
     pub fn with_recovery(mut self, config: RecoveryConfig) -> Self {
         self.enable_recovery(config);
         self
-    }
-
-    /// The active recovery configuration, if any.
-    pub fn recovery_config(&self) -> Option<&RecoveryConfig> {
-        self.recovery.as_ref()
     }
 
     /// Turns on crash consistency: every admission lifecycle transition
@@ -356,8 +360,9 @@ impl FrontDoor {
         }
     }
 
-    /// Where the door currently sits on the degradation ladder (always
-    /// `Normal` without recovery enabled).
+    /// Where the door currently sits on the degradation ladder (`Normal`
+    /// or, once no shard is healthy, `FailClosed` without recovery
+    /// enabled).
     pub fn degradation_mode(&self) -> DegradationMode {
         self.mode
     }
@@ -365,7 +370,7 @@ impl FrontDoor {
     /// True when the degradation ladder has suspended streaming SLOs
     /// (deadlines revert to completion-judged, TTFT samples pause).
     pub fn streaming_suspended(&self) -> bool {
-        self.recovery.is_some() && self.mode >= DegradationMode::DisableStreaming
+        self.mode >= DegradationMode::DisableStreaming
     }
 
     /// The fleet behind the door.
@@ -433,27 +438,25 @@ impl FrontDoor {
     ) -> AdmissionDecision {
         self.fleet.clock.advance_to(arrival);
         self.fire_due_control_crash();
-        if self.recovery.is_some() {
-            self.update_ladder();
-            let refuse = match self.mode {
-                DegradationMode::FailClosed => true,
-                DegradationMode::ShedLowPriority | DegradationMode::DisableStreaming => {
-                    request.priority == ServePriority::Batch
-                }
-                DegradationMode::Normal => false,
-            };
-            if refuse {
-                self.fleet.recovery_mut().ladder_shed += 1;
-                if self.fleet.telemetry().is_enabled() {
-                    self.fleet
-                        .telemetry_mut()
-                        .metrics_mut()
-                        .incr("admission.refused");
-                }
-                return AdmissionDecision::Refused {
-                    depth: self.controller.depth(),
-                };
+        self.update_ladder();
+        let refuse = match self.mode {
+            DegradationMode::FailClosed => true,
+            DegradationMode::ShedLowPriority | DegradationMode::DisableStreaming => {
+                request.priority == ServePriority::Batch
             }
+            DegradationMode::Normal => false,
+        };
+        if refuse {
+            self.fleet.recovery_mut().ladder_shed += 1;
+            if self.fleet.telemetry().is_enabled() {
+                self.fleet
+                    .telemetry_mut()
+                    .metrics_mut()
+                    .incr("admission.refused");
+            }
+            return AdmissionDecision::Refused {
+                depth: self.controller.depth(),
+            };
         }
         let session = request.session;
         let class = request.priority.class();
@@ -548,7 +551,7 @@ impl FrontDoor {
     /// simulated time has advanced.
     pub fn pump(&mut self) -> Result<Vec<ServeResponse>> {
         let mut responses = Vec::new();
-        while let Some(batch) = self.step()? {
+        while let Some(batch) = self.step() {
             responses.extend(batch);
         }
         Ok(responses)
@@ -558,17 +561,15 @@ impl FrontDoor {
     /// ready. [`FrontDoor::play`] uses this to interleave newly-passed
     /// arrivals between consecutive batches, and the chaos driver
     /// (`crate::chaos`) to interleave fault injections.
-    pub(crate) fn step(&mut self) -> Result<Option<Vec<ServeResponse>>> {
+    pub(crate) fn step(&mut self) -> Option<Vec<ServeResponse>> {
         // Pump boundary: a due control-plane crash lands here, between
         // batches. The moment before the former runs is also the quiescent
         // point — no batch in flight, the queue alone holds every
         // acked-uncompleted request — so it is where snapshots are taken.
         self.fire_due_control_crash();
         self.maybe_snapshot();
-        match self.controller.form(self.fleet.clock.now()) {
-            Some(batch) => Ok(Some(self.serve(batch)?)),
-            None => Ok(None),
-        }
+        let batch = self.controller.form(self.fleet.clock.now())?;
+        Some(self.serve(batch))
     }
 
     /// Serves everything still queued, ignoring the batch former's timing
@@ -584,7 +585,7 @@ impl FrontDoor {
             let Some(batch) = self.controller.flush(self.fleet.clock.now()) else {
                 break;
             };
-            responses.extend(self.serve(batch)?);
+            responses.extend(self.serve(batch));
         }
         Ok(responses)
     }
@@ -616,7 +617,7 @@ impl FrontDoor {
                 {
                     decisions.push(self.submit_at(arrival.request, arrival.deadline, arrival.at));
                 }
-                match self.step()? {
+                match self.step() {
                     Some(batch) => responses.extend(batch),
                     None => break,
                 }
@@ -626,16 +627,25 @@ impl FrontDoor {
         Ok((decisions, responses))
     }
 
-    /// Serves one formed batch through the fleet and settles accounting:
-    /// queued-load release, queue wait added to each response's latency,
-    /// submission-to-first-token recording for streams that emitted a
-    /// token, and deadline hit/miss recording — against batch completion,
-    /// or against the first-token instant when the door judges TTFT
-    /// deadlines.
-    fn serve(&mut self, batch: Vec<Admitted<ServeRequest>>) -> Result<Vec<ServeResponse>> {
-        if self.recovery.is_some() {
-            return self.serve_recoverable(batch);
-        }
+    /// Serves one formed batch through the fleet and settles it — the
+    /// door's one settle path, whatever its [`RecoveryConfig`].
+    ///
+    /// Requests a crash or serving error stranded are retried with bounded
+    /// jittered backoff *inside the batch*, so no later batch can overtake
+    /// them and per-session prefix order holds by construction.
+    /// Timed-out or straggling responses are re-dispatched to a hedge
+    /// shard, and whatever exhausts its budget is refused, never lost. Under
+    /// [`RecoveryConfig::disabled`], the default, nothing is retried or
+    /// hedged: a stranded request is refused at once.
+    ///
+    /// Settlement releases the queued load, adds the queue wait to each
+    /// response's latency, records submission-to-first-token for streams
+    /// that emitted a token, records deadline hits and misses (against
+    /// batch completion, or against the first-token instant when the door
+    /// judges TTFT deadlines), and runs the idempotency and session-order
+    /// witnesses.
+    fn serve(&mut self, batch: Vec<Admitted<ServeRequest>>) -> Vec<ServeResponse> {
+        let cfg = self.recovery;
         let mut stamps = Vec::with_capacity(batch.len());
         let mut requests = Vec::with_capacity(batch.len());
         for admitted in batch {
@@ -649,80 +659,18 @@ impl FrontDoor {
         }
         self.push_queued_load();
         self.journal_dispatch(&stamps);
-        let mut responses = self.fleet.serve_batch(requests)?;
-        if self.fire_due_control_crash() {
-            // The crash landed while the batch was in flight: no response
-            // was released and no Complete record committed, so recovery
-            // re-queued the whole batch from the journal — or, without
-            // one, lost it along with the queue.
-            if self.journal.is_none() {
-                self.fleet.recovery_mut().acked_lost += stamps.len() as u64;
-            }
-            return Ok(Vec::new());
-        }
-        let completed = self.fleet.clock.now();
-        for ((stamp, dispatched), response) in stamps.iter().zip(responses.iter_mut()) {
-            let wait = dispatched.duration_since(stamp.arrival);
-            response.latency.queue = response.latency.queue.saturating_add(wait);
-            // The pipeline stamps time-to-first-token from batch entry;
-            // the submission-to-first-token the producer experienced adds
-            // the queue wait in front of it. Refused/never-streamed
-            // responses carry no sample.
-            let ttft = response.latency.time_to_first_token;
-            if ttft > SimDuration::ZERO {
-                self.controller.record_ttft(wait.saturating_add(ttft));
-            }
-            let achieved = if self.ttft_deadlines && ttft > SimDuration::ZERO {
-                dispatched.saturating_add(ttft)
-            } else {
-                completed
-            };
-            self.controller.record_served(stamp, achieved);
-            self.journal_complete(stamp, response);
-            self.telemetry_settle(
-                stamp,
-                *dispatched,
-                completed,
-                achieved,
-                response.outcome,
-                true,
-            );
-        }
-        Ok(responses)
-    }
-
-    /// The self-healing serve path: dispatches through
-    /// [`GuillotineFleet::serve_batch_attempt`], retries stranded requests
-    /// with bounded jittered backoff *inside the batch* (so no later batch
-    /// can overtake them — per-session prefix order is preserved by
-    /// construction), re-dispatches timed-out/straggling responses to a
-    /// hedge shard, refuses what exhausts its budget (never loses it), and
-    /// settles the same accounting as the plain path plus the idempotency
-    /// and session-order witnesses.
-    fn serve_recoverable(
-        &mut self,
-        batch: Vec<Admitted<ServeRequest>>,
-    ) -> Result<Vec<ServeResponse>> {
-        // The caller only routes here with recovery enabled; the fallback
-        // keeps this hot path panic-free.
-        let cfg = self.recovery.unwrap_or_else(RecoveryConfig::disabled);
-        let mut stamps = Vec::with_capacity(batch.len());
-        let mut requests = Vec::with_capacity(batch.len());
-        for admitted in batch {
-            self.note_removed(admitted.stamp.ticket);
-            let ticket = admitted.stamp.ticket;
-            stamps.push((admitted.stamp, admitted.dispatched));
-            requests.push(admitted.payload.with_ticket(ticket));
-        }
-        self.push_queued_load();
-        self.journal_dispatch(&stamps);
-        // Hedging and refusal-synthesis need the request after the fleet
-        // consumed it.
-        let copies: Vec<ServeRequest> = requests.clone();
+        // A hedge re-serves a request after the fleet consumed it: only a
+        // door that can time out or hedge pays for the copy.
+        let hedging = cfg.serve_timeout.is_some() || cfg.hedge_threshold.is_some();
+        let copies: Vec<ServeRequest> = if hedging {
+            requests.clone()
+        } else {
+            Vec::new()
+        };
         let mut attempt = self.fleet.serve_batch_attempt(requests);
         // Span id of each slot's latest attempt, so retries and hedges can
         // carry a follows-from link to the attempt they supersede.
-        let mut attempt_spans: Vec<Option<SpanId>> = vec![None; copies.len()];
+        let mut attempt_spans: Vec<Option<SpanId>> = vec![None; stamps.len()];
         if self.fleet.telemetry().is_enabled() {
             let end = self.fleet.clock.now();
             for (slot, (stamp, dispatched)) in stamps.iter().enumerate() {
@@ -805,10 +753,10 @@ impl FrontDoor {
                     .add("recovery.retries_exhausted", n);
             }
             for (slot, request) in failed {
-                attempt.responses[slot] = Some(self.refusal_for(&request));
+                attempt.responses[slot] = Some(self.refusal_for(request.session));
             }
         }
-        if cfg.serve_timeout.is_some() || cfg.hedge_threshold.is_some() {
+        if hedging {
             self.timeout_and_hedge(&cfg, &mut attempt, &copies, &stamps, &mut attempt_spans);
         }
         if self.fire_due_control_crash() {
@@ -819,23 +767,22 @@ impl FrontDoor {
             if self.journal.is_none() {
                 self.fleet.recovery_mut().acked_lost += stamps.len() as u64;
             }
-            return Ok(Vec::new());
+            return Vec::new();
         }
         self.update_ladder();
         let completed = self.fleet.clock.now();
         let streaming = !self.streaming_suspended();
-        let mut responses = Vec::with_capacity(attempt.responses.len());
-        for (slot, maybe) in attempt.responses.into_iter().enumerate() {
-            responses.push(match maybe {
-                Some(response) => response,
-                // Unreachable (every slot is served, retried into, or
-                // refused above); a refusal keeps the path panic-free.
-                None => self.refusal_for(&copies[slot]),
-            });
-        }
-        for ((stamp, dispatched), response) in stamps.iter().zip(responses.iter_mut()) {
+        let mut responses = Vec::with_capacity(stamps.len());
+        for (maybe, (stamp, dispatched)) in attempt.responses.into_iter().zip(&stamps) {
+            // `None` is unreachable (every slot is served, retried into, or
+            // refused above); a refusal keeps the path panic-free.
+            let mut response = maybe.unwrap_or_else(|| self.refusal_for(stamp.session));
             let wait = dispatched.duration_since(stamp.arrival);
             response.latency.queue = response.latency.queue.saturating_add(wait);
+            // The pipeline stamps time-to-first-token from batch entry;
+            // the submission-to-first-token the producer experienced adds
+            // the queue wait in front of it. Refused/never-streamed
+            // responses carry no sample.
             let ttft = response.latency.time_to_first_token;
             if streaming && ttft > SimDuration::ZERO {
                 self.controller.record_ttft(wait.saturating_add(ttft));
@@ -864,17 +811,11 @@ impl FrontDoor {
                     self.session_progress.insert(session, stamp.arrival);
                 }
             }
-            self.journal_complete(stamp, response);
-            self.telemetry_settle(
-                stamp,
-                *dispatched,
-                completed,
-                achieved,
-                response.outcome,
-                false,
-            );
+            self.journal_complete(stamp, &response);
+            self.telemetry_settle(stamp, *dispatched, completed, achieved, response.outcome);
+            responses.push(response);
         }
-        Ok(responses)
+        responses
     }
 
     /// Re-dispatches straggling responses: past the serve timeout the
@@ -919,10 +860,7 @@ impl FrontDoor {
                 }
             }
             let hedge_start = self.fleet.clock.now();
-            let Ok(mut second) = self.fleet.serve_on_shard(target, vec![copy.clone()]) else {
-                continue;
-            };
-            let Some(second) = second.pop() else {
+            let Some(second) = self.fleet.hedge(target, copy.clone()) else {
                 continue;
             };
             let faster = second.latency.total() < latency;
@@ -974,10 +912,10 @@ impl FrontDoor {
     /// A synthesized fail-closed refusal for a request whose retry budget
     /// ran out: typed outcome, the home shard's current isolation, no
     /// content.
-    fn refusal_for(&self, request: &ServeRequest) -> ServeResponse {
-        let home = self.fleet.home_shard(request.session);
+    fn refusal_for(&self, session: SessionId) -> ServeResponse {
+        let home = self.fleet.home_shard(session);
         ServeResponse {
-            session: request.session,
+            session,
             outcome: ServeOutcomeKind::Refused,
             response: String::new(),
             verdicts: Vec::new(),
@@ -1117,15 +1055,6 @@ impl FrontDoor {
                 format!("{queued} queued at crash"),
             );
         }
-        // Settle the open residence in the current ladder mode before the
-        // crash wipes it, so per-mode durations keep summing to elapsed
-        // time across the boundary.
-        if self.recovery.is_some() {
-            let held = now.duration_since(self.mode_since);
-            let rank = self.mode.rank();
-            let recovery = self.fleet.recovery_mut();
-            recovery.degraded[rank] = recovery.degraded[rank].saturating_add(held);
-        }
         let queued_before = self.controller.depth() as u64;
         self.completed_tickets.clear();
         self.session_progress.clear();
@@ -1154,10 +1083,7 @@ impl FrontDoor {
                     .restore(Vec::new(), next_ticket, AdmissionStats::default());
                 summary.lost = queued_before;
                 self.fleet.recovery_mut().acked_lost += queued_before;
-                if self.recovery.is_some() {
-                    self.mode = DegradationMode::Normal;
-                    self.mode_since = now;
-                }
+                self.enter_mode(DegradationMode::Normal);
             }
             Some(journal) => {
                 let recovered = journal.store.recover();
@@ -1187,12 +1113,9 @@ impl FrontDoor {
                     .iter()
                     .map(|&(session, at)| (session, SimInstant::from_nanos(at)))
                     .collect();
-                if self.recovery.is_some() {
-                    self.mode = DegradationMode::from_rank(replay.mode_rank);
-                    // `mode_since` stays at the crash instant: the replay
-                    // window below is charged to the restored mode.
-                    self.mode_since = now;
-                }
+                // Entered at the crash instant: the replay window below is
+                // charged to the restored mode.
+                self.enter_mode(DegradationMode::from_rank(replay.mode_rank));
                 {
                     let recovery = self.fleet.recovery_mut();
                     recovery.wal_replayed += replay.replayed;
@@ -1247,23 +1170,27 @@ impl FrontDoor {
     /// Re-derives the degradation mode from live fleet health and settles
     /// per-mode time accounting on transitions.
     fn update_ladder(&mut self) {
-        let Some(cfg) = self.recovery else {
-            return;
-        };
         let mode = DegradationMode::from_health(
             self.fleet.healthy_count(),
             self.fleet.shard_count(),
-            &cfg,
+            &self.recovery,
         );
         if mode != self.mode {
-            let now = self.fleet.clock.now();
-            let held = now.duration_since(self.mode_since);
-            let rank = self.mode.rank();
-            let recovery = self.fleet.recovery_mut();
-            recovery.degraded[rank] = recovery.degraded[rank].saturating_add(held);
-            self.mode = mode;
-            self.mode_since = now;
+            self.enter_mode(mode);
         }
+    }
+
+    /// Charges the time held in the current ladder mode to its per-mode
+    /// duration and enters `mode` now, so per-mode durations keep summing
+    /// to elapsed time across transitions and control-plane crashes.
+    fn enter_mode(&mut self, mode: DegradationMode) {
+        let now = self.fleet.clock.now();
+        let held = now.duration_since(self.mode_since);
+        let rank = self.mode.rank();
+        let recovery = self.fleet.recovery_mut();
+        recovery.degraded[rank] = recovery.degraded[rank].saturating_add(held);
+        self.mode = mode;
+        self.mode_since = now;
     }
 
     /// Charges a freshly-queued request to the shard `LeastLoaded` would
@@ -1335,10 +1262,9 @@ impl FrontDoor {
     }
 
     /// Emits the door-side spans and incidents for one settled request:
-    /// the queue-wait span, the dispatch span when the caller has not
-    /// already recorded per-attempt dispatch spans (the recoverable path
-    /// has), and deadline-miss / escalation incident dumps stamped with
-    /// the WAL offset at settlement.
+    /// the queue-wait span (the dispatch spans were recorded per attempt)
+    /// and deadline-miss / escalation incident dumps stamped with the WAL
+    /// offset at settlement.
     fn telemetry_settle(
         &mut self,
         stamp: &EntryStamp,
@@ -1346,7 +1272,6 @@ impl FrontDoor {
         completed: SimInstant,
         achieved: SimInstant,
         outcome: ServeOutcomeKind,
-        record_dispatch: bool,
     ) {
         if !self.fleet.telemetry().is_enabled() {
             return;
@@ -1365,16 +1290,6 @@ impl FrontDoor {
             end: dispatched,
             ..NewSpan::default()
         });
-        if record_dispatch {
-            telemetry.span(NewSpan {
-                name: "serve.dispatch",
-                ticket: Some(ticket),
-                parent: root,
-                start: dispatched,
-                end: completed,
-                ..NewSpan::default()
-            });
-        }
         telemetry.metrics_mut().incr("admission.completed");
         telemetry
             .metrics_mut()
@@ -1410,13 +1325,11 @@ impl FrontDoor {
     pub fn stats(&self) -> FleetStats {
         let mut stats = self.fleet.stats();
         stats.admission = Some(self.controller.stats());
-        if self.recovery.is_some() {
-            // Charge the still-open residence in the current mode, so
-            // per-mode durations always sum to elapsed time.
-            let held = self.fleet.clock.now().duration_since(self.mode_since);
-            let rank = self.mode.rank();
-            stats.recovery.degraded[rank] = stats.recovery.degraded[rank].saturating_add(held);
-        }
+        // Charge the still-open residence in the current mode, so per-mode
+        // durations always sum to elapsed time.
+        let held = self.fleet.clock.now().duration_since(self.mode_since);
+        let rank = self.mode.rank();
+        stats.recovery.degraded[rank] = stats.recovery.degraded[rank].saturating_add(held);
         stats
     }
 

@@ -122,7 +122,7 @@ impl ChaosDoor {
                     ));
                 }
                 self.inject_due(self.door.now());
-                match self.door.step()? {
+                match self.door.step() {
                     Some(batch) => responses.extend(batch),
                     None => break,
                 }

@@ -478,8 +478,18 @@ impl GuillotineDeployment {
     /// terminal event. See the streaming variant for the pipeline
     /// semantics.
     pub fn serve_batch(&mut self, requests: Vec<ServeRequest>) -> Result<Vec<ServeResponse>> {
+        self.serve_requests(&requests)
+    }
+
+    /// [`GuillotineDeployment::serve_batch`] over borrowed requests: the
+    /// fleet keeps ownership of a sub-batch, so one lost to a shard crash
+    /// or a serving error is handed back for retry without a copy.
+    pub(crate) fn serve_requests(
+        &mut self,
+        requests: &[ServeRequest],
+    ) -> Result<Vec<ServeResponse>> {
         Ok(self
-            .serve_batch_streaming(requests)?
+            .stream_requests(requests, DEFAULT_CHUNK_TOKENS)?
             .into_iter()
             .map(|streamed| streamed.response)
             .collect())
@@ -563,6 +573,16 @@ impl GuillotineDeployment {
         requests: Vec<ServeRequest>,
         chunk_tokens: u64,
     ) -> Result<Vec<StreamedResponse>> {
+        self.stream_requests(&requests, chunk_tokens)
+    }
+
+    /// The pipeline behind every serve entry point; see
+    /// [`GuillotineDeployment::serve_batch_streaming_with_chunk`].
+    fn stream_requests(
+        &mut self,
+        requests: &[ServeRequest],
+        chunk_tokens: u64,
+    ) -> Result<Vec<StreamedResponse>> {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
@@ -589,7 +609,7 @@ impl GuillotineDeployment {
             // Refused at admission: the stream never opened, so it ends
             // `Completed` (severing is reserved for streams cut mid-batch).
             return Ok(requests
-                .into_iter()
+                .iter()
                 .map(|request| StreamedResponse {
                     chunks: Vec::new(),
                     end: StreamEnd::Completed,
@@ -953,7 +973,7 @@ impl GuillotineDeployment {
             stream_chunks[stream.slot] = stream.chunks;
         }
         Ok(requests
-            .into_iter()
+            .iter()
             .zip(slots)
             .enumerate()
             .map(|(idx, (request, slot))| {

@@ -303,5 +303,9 @@ proptest! {
         let admission = stats.admission.unwrap();
         prop_assert_eq!(admission.dispatched, requests.len() as u64);
         prop_assert_eq!(admission.deadlines_tracked, requests.len() as u64);
+        // The plain door settles through the same path as a hardened one,
+        // so its idempotency and session-order witnesses run too.
+        prop_assert_eq!(stats.recovery.double_serves, 0);
+        prop_assert_eq!(stats.recovery.session_reorderings, 0);
     }
 }

@@ -13,6 +13,7 @@ use guillotine::recovery::{DegradationMode, RecoveryConfig};
 use guillotine::serve::{ServePriority, ServeRequest};
 use guillotine::{AdmissionDecision, DeadlinePolicy, KvCacheConfig, ShedPolicy};
 use guillotine_physical::IsolationLevel;
+use guillotine_telemetry::TelemetryConfig;
 use guillotine_types::{SessionId, SimDuration, SimInstant};
 use proptest::prelude::*;
 
@@ -165,7 +166,7 @@ fn hedging_beats_a_slowed_shard() {
         hedge_threshold: Some(baseline.saturating_mul(2)),
         ..RecoveryConfig::default()
     };
-    let mut door = door_with(2, config);
+    let mut door = door_with(2, config).with_telemetry(TelemetryConfig::full());
     door.fleet_mut().set_slowdown(0, 16);
     let mut served = 0usize;
     for i in 0..12 {
@@ -181,6 +182,19 @@ fn hedging_beats_a_slowed_shard() {
     assert!(stats.recovery.hedges_won > 0);
     assert_eq!(stats.recovery.duplicates_suppressed, stats.recovery.hedges);
     assert_eq!(stats.recovery.double_serves, 0);
+    // A hedge is served through the fleet's one dispatch path, so its
+    // outcome is counted once in `FleetStats` and once in the registry.
+    let merged = door.fleet().telemetry().merged_metrics();
+    let counted: u64 = [
+        "outcome.delivered",
+        "outcome.sanitized",
+        "outcome.refused",
+        "outcome.escalated",
+    ]
+    .iter()
+    .map(|name| merged.counter_value(name))
+    .sum();
+    assert_eq!(stats.outcomes().total(), counted);
 }
 
 /// The graceful-degradation ladder: losing half the fleet sheds

@@ -265,3 +265,44 @@ fn each_shard_launches_once_per_fleet_batch_it_participates_in() {
         assert_eq!(stats.forward_launches, 3);
     }
 }
+
+// ---------------------------------------------------------------------
+// One dispatch path: every serve entry point honours crashes and slowdowns.
+// ---------------------------------------------------------------------
+
+#[test]
+fn serve_batch_never_delivers_from_a_crashed_shard() {
+    let mut fleet = fleet(1);
+    fleet.inject_crash(0);
+    assert!(fleet.is_crashed(0) && fleet.is_quarantined(0));
+    // The only shard's serving process is gone: the request is stranded,
+    // and `serve_batch` reports that instead of answering from the dead
+    // shard.
+    let result = fleet.serve_batch(vec![ServeRequest::new("What causes tides?")]);
+    assert!(result.is_err(), "served from a crashed shard: {result:?}");
+    assert_eq!(fleet.stats().outcomes().total(), 0);
+}
+
+#[test]
+fn slowdowns_stretch_serve_batch_exactly_like_serve_batch_attempt() {
+    let serve = |factor: u32, attempt: bool| {
+        let mut fleet = fleet(1);
+        fleet.set_slowdown(0, factor);
+        let request = ServeRequest::new("What causes tides?").with_session(SessionId::new(7));
+        let response = if attempt {
+            fleet.serve_batch_attempt(vec![request]).responses.remove(0)
+        } else {
+            fleet.serve_batch(vec![request]).unwrap().pop()
+        };
+        (response.unwrap().latency, fleet.stats().elapsed)
+    };
+    let (healthy, healthy_elapsed) = serve(1, false);
+    let (slowed, slowed_elapsed) = serve(4, false);
+    assert_eq!((slowed, slowed_elapsed), serve(4, true));
+    assert_eq!(slowed.inference, healthy.inference.saturating_mul(4));
+    assert_eq!(
+        slowed.time_to_first_token,
+        healthy.time_to_first_token.saturating_mul(4)
+    );
+    assert_eq!(slowed_elapsed, healthy_elapsed.saturating_mul(4));
+}
