@@ -54,8 +54,8 @@ const MAX_QUEUE: usize = 2;
 /// * `no-serve-from-quarantined-shard` — `GuillotineFleet::dispatch`
 /// * `session-order-preserved-across-rehome` — `GuillotineFleet::quarantine_shard`
 /// * `no-kv-from-invalidated-generation` — `guillotine_model::kv::KvTier`
-/// * `no-chunk-after-severed-stream` —
-///   `GuillotineDeployment::serve_batch_streaming_with_chunk`
+/// * `no-chunk-after-severed-stream` — `GuillotineDeployment::sever`, the
+///   `stream.sever` stage of the streaming pipeline
 /// * `no-reinstate-without-quorum` — `GuillotineDeployment::console_transition`
 /// * `no-double-serve-under-retry` — `FrontDoor::serve`'s ticket
 ///   idempotency (a retry/hedge duplicate of an already-served request must

@@ -86,11 +86,6 @@ impl ChaosDoor {
         &self.trace
     }
 
-    /// Faults not yet fired.
-    pub fn remaining_faults(&self) -> usize {
-        self.injector.remaining()
-    }
-
     /// Tears the harness down into the door and the trace.
     pub fn into_parts(self) -> (FrontDoor, ChaosTrace) {
         (self.door, self.trace)
@@ -139,7 +134,7 @@ impl ChaosDoor {
     }
 
     /// Fires every fault due at or before `now` and records the trace.
-    pub fn inject_due(&mut self, now: SimInstant) {
+    fn inject_due(&mut self, now: SimInstant) {
         for event in self.injector.due(now) {
             // The flight recorder learns of the fault *before* the door
             // reacts to it, so the recovery actions it provokes (retries,

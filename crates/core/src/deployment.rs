@@ -35,6 +35,8 @@ use guillotine_types::{
     AdminId, DeviceId, GuillotineError, MachineId, ModelId, PortId, Result, SimClock, SimDuration,
     SimInstant,
 };
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Node names used in the deployment's network.
@@ -80,6 +82,56 @@ struct StatsWindow {
     faults: u64,
     interrupts: u64,
     at: SimInstant,
+}
+
+/// Simulated queueing charge of one batch: the clock advances by it once
+/// per batch, and every response reports it as `latency.queue`.
+///
+/// This and the two screening charges below are cost-model constants. They
+/// do not depend on prompt or response length, nor on how many rules the
+/// detector stack compiles, so simulated figures never reflect screening
+/// work.
+const QUEUE_LATENCY: SimDuration = SimDuration::from_micros(50);
+/// Simulated input-shield charge per screened prompt
+/// (`latency.input_screen`).
+const INPUT_SCREEN_LATENCY: SimDuration = SimDuration::from_micros(20);
+/// Simulated output-screen charge per screened response
+/// (`latency.output_screen`).
+const OUTPUT_SCREEN_LATENCY: SimDuration = SimDuration::from_micros(10);
+
+/// One batch in flight through the serving pipeline.
+struct Batch<'r> {
+    requests: &'r [ServeRequest],
+    /// Serving order: higher priorities first, ties by submission order.
+    order: Vec<usize>,
+    /// The table the pipeline returns, one row per request in submission
+    /// order, filled in place by the stages. A request the shield admits
+    /// is `Escalated` until its output screen decides it; `sever` ends
+    /// whatever is still `Escalated` when decode stops.
+    table: Vec<StreamedResponse>,
+    /// Decode state of the admitted streams not yet screened, in serving
+    /// order.
+    streams: VecDeque<Stream>,
+    /// The verdict a severed stream carries: the latest verdict that
+    /// recommended `Sever` or worse, else the batch's system-stats verdict.
+    sever_verdict: Verdict,
+    chunk_tokens: u64,
+    /// When the batch entered the pipeline: the origin of every TTFT.
+    entry: SimInstant,
+}
+
+/// Decode state of one admitted stream, from prefill until it screens or
+/// is severed.
+struct Stream {
+    /// The request's row in the table.
+    row: usize,
+    answer: String,
+    /// Decode tokens in `answer`.
+    total: u64,
+    decoded: u64,
+    /// Byte offset in `answer` of the first byte not yet decoded.
+    cursor: usize,
+    sanitizer: Option<StreamingSanitizer>,
 }
 
 /// Handles to the port capabilities a standard deployment grants its model.
@@ -508,66 +560,71 @@ impl GuillotineDeployment {
     /// Serves a batch of requests through the full screened path, decoding
     /// incrementally and streaming redacted chunks.
     ///
-    /// Pipeline semantics, in order:
+    /// Pipeline semantics, in order. Each step is a private stage function,
+    /// named after the span it emits if it emits one, and the stages fill
+    /// one per-request table that comes back as the result:
     ///
-    /// 1. **System snapshot.** The anomaly detector sees *one*
+    /// 1. **System snapshot** (`admit`). The anomaly detector sees *one*
     ///    [`SystemStats`] window for the whole batch; its verdict is shared
     ///    by every response as the `SystemAnomaly` stage — including
     ///    responses refused at admission, so `system_flagged()` is never
     ///    silently false.
-    /// 2. **Admission.** If the isolation level has cut the ports, every
-    ///    request is refused immediately (carrying the stage-1 verdict).
-    /// 3. **Input shielding** runs across the whole batch — in priority
-    ///    order, ties by submission order — before any forward pass. Each
-    ///    prompt is scanned **exactly once**: the shield's compiled
-    ///    `guillotine-scan` automaton walks the original prompt bytes in a
-    ///    single pass, and that one scan result supplies both the suspicion
-    ///    score and the matched-rule count its stage verdict reports — no
-    ///    lowercase copies, no per-rule rescans. Requests whose prompt
-    ///    verdict is stronger than `Sanitize` are refused. Any escalation
-    ///    recommended so far is applied *once*, batch-wide; if it cuts the
-    ///    ports, all surviving requests finish as
-    ///    [`ServeOutcomeKind::Escalated`] and no forward pass runs.
-    /// 4. **One batched, prefill/decode-split forward pass** over the
-    ///    surviving prompts: the simulated weight sweep runs once per
-    ///    batch, which is what makes `serve_batch` cheaper than a
-    ///    `serve_prompt` loop. When a KV tier is attached (builder
-    ///    `with_kv_cache`/`with_kv_tier`, or fleet-shared), each survivor
-    ///    first looks up its session's cached prompt prefix and only the
-    ///    uncached tail is prefilled — real sweep words skipped, simulated
-    ///    prefill latency saved — with the reuse reported per request as
-    ///    `kv_hit` and `latency.kv_saved`. Answers are generated from the
-    ///    full prompt either way, so delivered bytes are identical with the
-    ///    tier on or off.
-    /// 5. **Incremental decode.** The launch and prefill costs advance the
-    ///    clock up front; decode then proceeds in lockstep rounds of
-    ///    `chunk_tokens` tokens per surviving stream (priority order within
-    ///    a round). Each chunk advances the clock by its telescoping share
-    ///    of the per-sequence decode cost — the shares sum *exactly* to the
-    ///    non-streaming decode latency — and its raw bytes flow through a
-    ///    per-stream [`StreamingSanitizer`] that redacts forbidden content
-    ///    on the fly, holding back at most `max_pattern_len - 1` bytes at
-    ///    chunk seams. The first chunk stamps the request's
-    ///    `time_to_first_token`.
-    /// 6. **Output screening** when a stream's decode completes and every
-    ///    higher-priority survivor has screened (so verdict order matches
-    ///    the non-streaming pipeline exactly): one automaton pass over the
-    ///    whole response yields the delivered text and the stage verdict.
-    ///    Should a response verdict recommend `Sever` or worse (possible
-    ///    with custom detectors), the escalation is applied on the spot;
-    ///    if it cuts the ports, every in-flight stream is severed **at its
-    ///    current token** — terminal event
-    ///    [`StreamEnd::SeveredMidStream`], outcome
-    ///    [`ServeOutcomeKind::Escalated`], no further chunks, and decode
-    ///    billed only up to the severed token.
+    /// 2. **Admission** (`admit`). If the isolation level has cut the
+    ///    ports, every request is refused immediately (carrying the stage-1
+    ///    verdict): the table `admit` opened is returned as is.
+    /// 3. **Input shielding** (`shield`, span `serve.shield`) runs across
+    ///    the whole batch — in priority order, ties by submission order —
+    ///    before any forward pass. Each prompt is scanned **exactly once**:
+    ///    the shield's compiled `guillotine-scan` automaton walks the
+    ///    original prompt bytes in a single pass, and that one scan result
+    ///    supplies both the suspicion score and the matched-rule count its
+    ///    stage verdict reports — no lowercase copies, no per-rule rescans.
+    ///    Requests whose prompt verdict is stronger than `Sanitize` are
+    ///    refused. Any escalation recommended so far is applied *once*,
+    ///    batch-wide; if it cuts the ports, no forward pass runs and every
+    ///    surviving request is severed at token zero (step 7).
+    /// 4. **One batched, prefill/decode-split forward pass** (`prefill`,
+    ///    span `serve.prefill`) over the surviving prompts: the simulated
+    ///    weight sweep runs once per batch, which is what makes
+    ///    `serve_batch` cheaper than a `serve_prompt` loop. When a KV tier
+    ///    is attached (builder `with_kv_cache`/`with_kv_tier`, or
+    ///    fleet-shared), each survivor first looks up its session's cached
+    ///    prompt prefix and only the uncached tail is prefilled — real
+    ///    sweep words skipped, simulated prefill latency saved — with the
+    ///    reuse reported per request as `kv_hit` and `latency.kv_saved`.
+    ///    Answers are generated from the full prompt either way, so
+    ///    delivered bytes are identical with the tier on or off.
+    /// 5. **Incremental decode** (`decode_round`, span `stream.chunk`). The
+    ///    launch and prefill costs advance the clock up front; decode then
+    ///    proceeds in lockstep rounds of `chunk_tokens` tokens per
+    ///    surviving stream (priority order within a round). Each chunk
+    ///    advances the clock by its telescoping share of the per-sequence
+    ///    decode cost — the shares sum *exactly* to the non-streaming
+    ///    decode latency — and its raw bytes flow through a per-stream
+    ///    [`StreamingSanitizer`] that redacts forbidden content on the fly,
+    ///    holding back at most `max_pattern_len - 1` bytes at chunk seams.
+    ///    The first chunk stamps the request's `time_to_first_token`.
+    /// 6. **Output screening** (`sanitize_ready`, span `serve.sanitize`)
+    ///    after each round, for every stream whose decode is complete and
+    ///    whose higher-priority survivors have all screened (so verdict
+    ///    order matches the non-streaming pipeline exactly): one automaton
+    ///    pass over the whole response yields the delivered text and the
+    ///    stage verdict. Should a response verdict recommend `Sever` or
+    ///    worse (possible with custom detectors), the escalation is applied
+    ///    on the spot; if it cuts the ports, decode stops.
+    /// 7. **Severing** (`sever`, span `stream.sever`). Every survivor that
+    ///    never screened was cut off by an escalation, before decode or
+    ///    mid-stream, and is severed **at its current token**: terminal
+    ///    event [`StreamEnd::SeveredMidStream`], outcome
+    ///    [`ServeOutcomeKind::Escalated`], decode billed only up to the
+    ///    severed token, one count in
+    ///    [`GuillotineDeployment::severed_streams`], one `stream.sever`
+    ///    span and no further chunks (the model-checked
+    ///    `no-chunk-after-severed-stream` invariant in `guillotine-audit`).
     ///
     /// Responses always come back in submission order, one per request. A
     /// stream ends [`StreamEnd::SeveredMidStream`] if and only if its
     /// response outcome is [`ServeOutcomeKind::Escalated`].
-    ///
-    /// "No further chunks" after a sever is the model-checked
-    /// `no-chunk-after-severed-stream` invariant in `guillotine-audit`: a
-    /// severed stream is terminal, never resumed or flushed.
     pub fn serve_batch_streaming_with_chunk(
         &mut self,
         requests: Vec<ServeRequest>,
@@ -577,7 +634,8 @@ impl GuillotineDeployment {
     }
 
     /// The pipeline behind every serve entry point; see
-    /// [`GuillotineDeployment::serve_batch_streaming_with_chunk`].
+    /// [`GuillotineDeployment::serve_batch_streaming_with_chunk`]. A driver
+    /// over the stage functions below, which fill one table in place.
     fn stream_requests(
         &mut self,
         requests: &[ServeRequest],
@@ -586,209 +644,185 @@ impl GuillotineDeployment {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let chunk_tokens = chunk_tokens.max(1);
-        let entry = self.clock.now();
-        let queue_latency = SimDuration::from_micros(50);
-        let input_latency = SimDuration::from_micros(20);
-        let output_latency = SimDuration::from_micros(10);
-        self.clock.advance(queue_latency);
+        let mut batch = self.admit(requests, chunk_tokens);
+        if self.isolation_level().ports_available() {
+            self.shield(&mut batch);
+            // Batch-level escalation from the stats pass or the input phase.
+            self.apply_pending_escalation()?;
+            if self.isolation_level().ports_available() {
+                self.prefill(&mut batch);
+            }
+        }
+        while !batch.streams.is_empty() && self.isolation_level().ports_available() {
+            self.decode_round(&mut batch);
+            self.sanitize_ready(&mut batch)?;
+        }
+        self.apply_pending_escalation()?;
+        self.sever(&mut batch);
+        // Delivered and sanitized requests completed at the level recorded
+        // when their output cleared; everything refused or cut off
+        // completes with the batch itself, at whatever level the
+        // escalations left the deployment.
+        let level = self.isolation_level();
+        for row in &mut batch.table {
+            if !row.response.delivered() {
+                row.response.isolation = level;
+            }
+        }
+        Ok(batch.table)
+    }
 
-        // One system-stats window for the whole batch. The snapshot runs
-        // before the admission check so that even admission-refused
-        // responses carry the `SystemAnomaly` verdict the `verdicts` doc
-        // promises (and so a window anomaly can still escalate an
-        // already-cut deployment further).
+    /// The stats-window and admission gate (steps 1–2): charges the queue,
+    /// shows the anomaly detector one window for the whole batch, and opens
+    /// the table with every request `Refused` and carrying the window's
+    /// verdict. An admission refusal returns that table as is; its streams
+    /// never opened, so they end `Completed`. The snapshot runs before the
+    /// ports check, so a window anomaly can still escalate an already-cut
+    /// deployment further.
+    fn admit<'r>(&mut self, requests: &'r [ServeRequest], chunk_tokens: u64) -> Batch<'r> {
+        let entry = self.clock.now();
+        self.clock.advance(QUEUE_LATENCY);
         let now = self.clock.now();
         let stats = self.stats_window_snapshot();
         let stats_verdict = self.hypervisor.observe_stats(stats, now);
-
-        let admission_level = self.isolation_level();
-        if !admission_level.ports_available() {
-            self.apply_pending_escalation()?;
-            let final_level = self.isolation_level();
-            // Refused at admission: the stream never opened, so it ends
-            // `Completed` (severing is reserved for streams cut mid-batch).
-            return Ok(requests
-                .iter()
-                .map(|request| StreamedResponse {
-                    chunks: Vec::new(),
-                    end: StreamEnd::Completed,
-                    response: ServeResponse {
-                        session: request.session,
-                        outcome: ServeOutcomeKind::Refused,
-                        response: String::new(),
-                        verdicts: vec![StageVerdict {
-                            stage: ServeStage::SystemAnomaly,
-                            verdict: stats_verdict.clone(),
-                        }],
-                        latency: LatencyBreakdown {
-                            queue: queue_latency,
-                            ..LatencyBreakdown::default()
-                        },
-                        kv_hit: false,
-                        isolation: final_level,
-                    },
-                })
-                .collect());
-        }
-
-        // The verdict a severed stream will carry: the most recent verdict
-        // that recommended `Sever` or worse, falling back to the batch's
-        // system-stats verdict when the escalation came from outside the
-        // text screens.
-        let mut sever_verdict: Option<Verdict> = None;
-        if stats_verdict.flagged && stats_verdict.action >= RecommendedAction::Sever {
-            sever_verdict = Some(stats_verdict.clone());
-        }
-
-        // Priority order: higher priorities first, ties by submission order
-        // (the sort is stable).
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(requests[i].priority));
-
-        struct Slot {
-            outcome: Option<ServeOutcomeKind>,
-            response: String,
-            verdicts: Vec<StageVerdict>,
-            latency: LatencyBreakdown,
-            kv_hit: bool,
-            isolation: IsolationLevel,
-        }
-        let mut slots: Vec<Slot> = requests
+        let isolation = self.isolation_level();
+        let table = requests
             .iter()
-            .map(|_| Slot {
-                outcome: None,
-                response: String::new(),
-                verdicts: vec![StageVerdict {
-                    stage: ServeStage::SystemAnomaly,
-                    verdict: stats_verdict.clone(),
-                }],
-                latency: LatencyBreakdown {
-                    queue: queue_latency,
-                    ..LatencyBreakdown::default()
+            .map(|request| StreamedResponse {
+                chunks: Vec::new(),
+                end: StreamEnd::Completed,
+                response: ServeResponse {
+                    session: request.session,
+                    outcome: ServeOutcomeKind::Refused,
+                    response: String::new(),
+                    verdicts: vec![StageVerdict {
+                        stage: ServeStage::SystemAnomaly,
+                        verdict: stats_verdict.clone(),
+                    }],
+                    latency: LatencyBreakdown {
+                        queue: QUEUE_LATENCY,
+                        ..LatencyBreakdown::default()
+                    },
+                    kv_hit: false,
+                    isolation,
                 },
-                kv_hit: false,
-                isolation: admission_level,
             })
             .collect();
+        // Higher priorities first, ties by submission order (the sort is
+        // stable).
+        let mut order: Vec<usize> = (0..requests.len()).collect();
+        order.sort_by_key(|&i| Reverse(requests[i].priority));
+        Batch {
+            requests,
+            order,
+            table,
+            streams: VecDeque::new(),
+            sever_verdict: stats_verdict,
+            chunk_tokens: chunk_tokens.max(1),
+            entry,
+        }
+    }
 
-        // Input shielding across the whole batch, before any forward pass.
-        for &i in &order {
-            let shield_start = self.clock.now();
-            self.clock.advance(input_latency);
+    /// `serve.shield` (step 3). A request whose prompt verdict is stronger
+    /// than `Sanitize` stays `Refused`; every other one is admitted, which
+    /// marks it `Escalated` until its output screen decides it.
+    fn shield(&mut self, batch: &mut Batch<'_>) {
+        for &i in &batch.order {
+            let ticket = batch.requests[i].ticket;
+            let start = self.clock.now();
+            self.clock.advance(INPUT_SCREEN_LATENCY);
             let now = self.clock.now();
-            let verdict = self.hypervisor.screen_prompt(&requests[i].prompt, now);
-            self.tracer.push(
-                "serve.shield",
-                requests[i].ticket,
-                shield_start,
-                now,
-                String::new(),
-            );
-            slots[i].latency.input_screen = input_latency;
-            if verdict.flagged && verdict.action > RecommendedAction::Sanitize {
-                slots[i].outcome = Some(ServeOutcomeKind::Refused);
+            let verdict = self
+                .hypervisor
+                .screen_prompt(&batch.requests[i].prompt, now);
+            self.tracer
+                .push("serve.shield", ticket, start, now, String::new());
+            let response = &mut batch.table[i].response;
+            response.latency.input_screen = INPUT_SCREEN_LATENCY;
+            if !(verdict.flagged && verdict.action > RecommendedAction::Sanitize) {
+                response.outcome = ServeOutcomeKind::Escalated;
             }
             if verdict.flagged && verdict.action >= RecommendedAction::Sever {
-                sever_verdict = Some(verdict.clone());
+                batch.sever_verdict = verdict.clone();
             }
-            slots[i].verdicts.push(StageVerdict {
+            response.verdicts.push(StageVerdict {
                 stage: ServeStage::InputShield,
                 verdict,
             });
         }
+    }
 
-        // Batch-level escalation from the stats pass or the input phase.
-        self.apply_pending_escalation()?;
-        let short_circuited = !self.isolation_level().ports_available();
-
-        // One batched forward pass over the surviving prompts.
-        let survivors: Vec<usize> = order
+    /// `serve.prefill` (step 4): one forward pass over the admitted
+    /// prompts, which opens their streams in serving order.
+    fn prefill(&mut self, batch: &mut Batch<'_>) {
+        let admitted: Vec<usize> = batch
+            .order
             .iter()
             .copied()
-            .filter(|&i| slots[i].outcome.is_none() && !short_circuited)
+            .filter(|&i| batch.table[i].response.outcome == ServeOutcomeKind::Escalated)
             .collect();
-        let answers = if survivors.is_empty() {
-            Vec::new()
-        } else {
-            // KV lookups in serving (priority) order: each surviving
-            // prompt's cached prefix is served from the tier, and only the
-            // uncached tail is prefilled. Refused requests never reach this
-            // point, so they cannot pollute the cache.
-            let shard_tag = self.config.machine.raw();
-            let lookups: Vec<KvLookup> = survivors
-                .iter()
-                .map(|&i| match &self.kv {
-                    Some(tier) => {
-                        tier.lookup_insert(requests[i].session, shard_tag, &requests[i].prompt)
-                    }
-                    None => KvLookup::uncached(prompt_tokens(&requests[i].prompt)),
-                })
-                .collect();
-            let jobs: Vec<PrefillJob> = survivors
-                .iter()
-                .zip(&lookups)
-                .map(|(&i, lookup)| PrefillJob {
-                    prompt: requests[i].prompt.as_str(),
-                    prefill_tokens: lookup.uncached_tokens(),
-                })
-                .collect();
-            let answers = self.forward.run_prefill_decode(&jobs);
-            let launch = self.forward.launch_latency();
-            let batch_prefill = lookups.iter().fold(SimDuration::ZERO, |acc, lookup| {
-                acc.saturating_add(self.forward.prefill_latency(lookup.uncached_tokens()))
-            });
-            // Launch and prefill advance the clock up front; decode is
-            // incremental, billed chunk by chunk in the streaming loop
-            // below.
-            let prefill_start = self.clock.now();
-            self.clock.advance(launch.saturating_add(batch_prefill));
-            // Split the launch cost so the per-request shares sum back
-            // exactly to the batch launch latency: everyone gets the floor
-            // share, and the first `remainder` survivors absorb one extra
-            // nanosecond each. Prefill and decode are genuinely
-            // per-sequence costs, so each request carries its own (decode
-            // accumulates as the stream's chunks are produced).
-            let n = survivors.len() as u64;
-            let base_share = launch.as_nanos() / n;
-            let remainder = launch.as_nanos() % n;
-            for (k, (&i, lookup)) in survivors.iter().zip(&lookups).enumerate() {
-                let extra = u64::from((k as u64) < remainder);
-                slots[i].latency.inference = SimDuration::from_nanos(base_share + extra)
-                    .saturating_add(self.forward.prefill_latency(lookup.uncached_tokens()));
-                slots[i].latency.kv_saved = self.forward.prefill_latency(lookup.cached_tokens);
-                slots[i].kv_hit = lookup.hit();
-                // The span covers this request's launch share plus its own
-                // uncached prefill — the shares telescope to the batch cost.
-                self.tracer.push(
-                    "serve.prefill",
-                    requests[i].ticket,
-                    prefill_start,
-                    prefill_start.saturating_add(slots[i].latency.inference),
-                    String::new(),
-                );
-            }
-            answers
-        };
-
-        // The live state of one in-flight stream. `done` flips when the
-        // stream screens (outcome set) or is severed (outcome left `None`,
-        // resolved to `Escalated` at assembly).
-        struct StreamState {
-            slot: usize,
-            answer: String,
-            total: u64,
-            decoded: u64,
-            cursor: usize,
-            sanitizer: Option<StreamingSanitizer>,
-            chunks: Vec<StreamChunk>,
-            done: bool,
+        if admitted.is_empty() {
+            return;
         }
-        let mut streams: Vec<StreamState> = survivors
+        // KV lookups in serving order: each admitted prompt's cached prefix
+        // is served from the tier, and only the uncached tail is
+        // prefilled. Refused requests never reach this point, so they
+        // cannot pollute the cache.
+        let shard_tag = self.config.machine.raw();
+        let lookups: Vec<KvLookup> = admitted
             .iter()
-            .zip(answers)
-            .map(|(&i, answer)| StreamState {
-                slot: i,
+            .map(|&i| {
+                let request = &batch.requests[i];
+                match &self.kv {
+                    Some(tier) => tier.lookup_insert(request.session, shard_tag, &request.prompt),
+                    None => KvLookup::uncached(prompt_tokens(&request.prompt)),
+                }
+            })
+            .collect();
+        let jobs: Vec<PrefillJob> = admitted
+            .iter()
+            .zip(&lookups)
+            .map(|(&i, lookup)| PrefillJob {
+                prompt: batch.requests[i].prompt.as_str(),
+                prefill_tokens: lookup.uncached_tokens(),
+            })
+            .collect();
+        let answers = self.forward.run_prefill_decode(&jobs);
+        let launch = self.forward.launch_latency();
+        let batch_prefill = lookups.iter().fold(SimDuration::ZERO, |acc, lookup| {
+            acc.saturating_add(self.forward.prefill_latency(lookup.uncached_tokens()))
+        });
+        // Launch and prefill advance the clock up front; decode is
+        // incremental, billed chunk by chunk in `decode_round`.
+        let start = self.clock.now();
+        self.clock.advance(launch.saturating_add(batch_prefill));
+        // Split the launch cost so the per-request shares sum back exactly
+        // to the batch launch latency: everyone gets the floor share, and
+        // the first `remainder` streams absorb one extra nanosecond each.
+        // Prefill and decode are genuinely per-sequence costs, so each
+        // request carries its own (decode accumulates as the stream's
+        // chunks are produced).
+        let n = admitted.len() as u64;
+        let base_share = launch.as_nanos() / n;
+        let remainder = launch.as_nanos() % n;
+        for (k, ((&i, lookup), answer)) in admitted.iter().zip(&lookups).zip(answers).enumerate() {
+            let extra = u64::from((k as u64) < remainder);
+            let response = &mut batch.table[i].response;
+            response.latency.inference = SimDuration::from_nanos(base_share + extra)
+                .saturating_add(self.forward.prefill_latency(lookup.uncached_tokens()));
+            response.latency.kv_saved = self.forward.prefill_latency(lookup.cached_tokens);
+            response.kv_hit = lookup.hit();
+            // The span covers this request's launch share plus its own
+            // uncached prefill — the shares telescope to the batch cost.
+            self.tracer.push(
+                "serve.prefill",
+                batch.requests[i].ticket,
+                start,
+                start.saturating_add(response.latency.inference),
+                String::new(),
+            );
+            batch.streams.push_back(Stream {
+                row: i,
                 total: decode_tokens(&answer),
                 answer,
                 decoded: 0,
@@ -797,224 +831,166 @@ impl GuillotineDeployment {
                     .stream_categories
                     .as_ref()
                     .map(|compiled| StreamingSanitizer::new(Arc::clone(compiled))),
-                chunks: Vec::new(),
-                done: false,
-            })
-            .collect();
+            });
+        }
+    }
 
-        // Incremental decode + screening. Streams run in lockstep rounds of
-        // `chunk_tokens` tokens; a stream screens the moment its decode
-        // completes *and* every higher-priority survivor has screened, so
-        // verdicts and escalations fire in exactly the order the
-        // non-streaming pipeline used.
-        let mut unfinished = streams.len();
-        'streaming: while unfinished > 0 {
-            // One decode round, priority order within the round.
-            for stream in &mut streams {
-                if stream.done || stream.decoded == stream.total {
-                    continue;
-                }
-                let step = chunk_tokens.min(stream.total - stream.decoded);
-                let before = self
-                    .forward
-                    .decode_prefix_latency(stream.decoded, stream.total);
-                let after = self
-                    .forward
-                    .decode_prefix_latency(stream.decoded + step, stream.total);
-                // Monotone by construction, so the subtraction cannot wrap;
-                // the deltas telescope to the exact per-sequence decode
-                // latency when the stream runs to completion.
-                let delta = SimDuration::from_nanos(after.as_nanos() - before.as_nanos());
-                let chunk_start = self.clock.now();
-                self.clock.advance(delta);
-                if self.tracer.is_enabled() {
-                    // No note: chunk offset and step are recoverable from
-                    // the span's position among the ticket's chunk spans,
-                    // and a per-round format! would dominate tracing cost.
-                    self.tracer.push(
-                        "stream.chunk",
-                        requests[stream.slot].ticket,
-                        chunk_start,
-                        self.clock.now(),
-                        String::new(),
-                    );
-                }
-                let slot = &mut slots[stream.slot];
-                slot.latency.inference = slot.latency.inference.saturating_add(delta);
-                if slot.latency.time_to_first_token == SimDuration::ZERO {
-                    slot.latency.time_to_first_token = self.clock.now().duration_since(entry);
-                }
-                let offset = stream.decoded;
-                stream.decoded += step;
-                let target = decode_byte_target(&stream.answer, stream.decoded, stream.total);
-                let raw = &stream.answer[stream.cursor..target];
-                stream.cursor = target;
-                let emitted = match stream.sanitizer.as_mut() {
-                    Some(sanitizer) => sanitizer.push(raw),
-                    None => raw.to_string(),
-                };
-                if !emitted.is_empty() {
-                    stream.chunks.push(StreamChunk {
-                        offset_tokens: offset,
-                        text: emitted,
-                        at: self.clock.now(),
-                    });
-                }
+    /// `stream.chunk` (step 5): one decode round, `chunk_tokens` more
+    /// tokens for every stream still decoding.
+    fn decode_round(&mut self, batch: &mut Batch<'_>) {
+        for stream in batch.streams.iter_mut() {
+            if stream.decoded == stream.total {
+                continue;
             }
-            // Screen the leading run of decode-complete streams.
-            for k in 0..streams.len() {
-                if streams[k].done {
-                    continue;
-                }
-                if streams[k].decoded < streams[k].total {
-                    break;
-                }
-                // Flush the sanitizer's seam buffer before the final screen
-                // so the stream's chunks concatenate to the full sanitized
-                // text.
-                let flushed = match streams[k].sanitizer.as_mut() {
-                    Some(sanitizer) => sanitizer.finish(),
-                    None => String::new(),
-                };
-                if !flushed.is_empty() {
-                    let offset = streams[k].decoded;
-                    let at = self.clock.now();
-                    streams[k].chunks.push(StreamChunk {
-                        offset_tokens: offset,
-                        text: flushed,
-                        at,
-                    });
-                }
-                let sanitize_start = self.clock.now();
-                self.clock.advance(output_latency);
-                let now = self.clock.now();
-                let i = streams[k].slot;
+            let step = batch.chunk_tokens.min(stream.total - stream.decoded);
+            let before = self
+                .forward
+                .decode_prefix_latency(stream.decoded, stream.total);
+            let after = self
+                .forward
+                .decode_prefix_latency(stream.decoded + step, stream.total);
+            // Monotone by construction, so the subtraction cannot wrap; the
+            // deltas telescope to the exact per-sequence decode latency
+            // when the stream runs to completion.
+            let delta = SimDuration::from_nanos(after.as_nanos() - before.as_nanos());
+            let start = self.clock.now();
+            self.clock.advance(delta);
+            let now = self.clock.now();
+            if self.tracer.is_enabled() {
+                // No note: chunk offset and step are recoverable from the
+                // span's position among the ticket's chunk spans, and a
+                // per-round format! would dominate tracing cost.
                 self.tracer.push(
-                    "serve.sanitize",
-                    requests[i].ticket,
-                    sanitize_start,
+                    "stream.chunk",
+                    batch.requests[stream.row].ticket,
+                    start,
                     now,
                     String::new(),
                 );
-                let (mut delivered, verdict) =
-                    self.hypervisor.screen_response(&streams[k].answer, now);
-                slots[i].latency.output_screen = output_latency;
-                let escalates = verdict.flagged && verdict.action >= RecommendedAction::Sever;
-                if escalates {
-                    sever_verdict = Some(verdict.clone());
-                }
-                let policy = requests[i].policy;
-                // Policy truncation runs before classification so a response
-                // cut to nothing is a Refused, never an empty Delivered.
-                if let Some(max) = policy.max_response_bytes {
-                    truncate_on_char_boundary(&mut delivered, max);
-                }
-                let outcome = if delivered.is_empty() {
-                    ServeOutcomeKind::Refused
-                } else if verdict.flagged && verdict.action >= RecommendedAction::Sanitize {
-                    if policy.refuse_sanitized {
-                        ServeOutcomeKind::Refused
-                    } else {
-                        ServeOutcomeKind::Sanitized
-                    }
-                } else {
-                    ServeOutcomeKind::Delivered
-                };
-                if matches!(
-                    outcome,
-                    ServeOutcomeKind::Delivered | ServeOutcomeKind::Sanitized
-                ) {
-                    slots[i].response = delivered;
-                }
-                slots[i].outcome = Some(outcome);
-                slots[i].verdicts.push(StageVerdict {
-                    stage: ServeStage::OutputSanitizer,
-                    verdict,
+            }
+            let row = &mut batch.table[stream.row];
+            let latency = &mut row.response.latency;
+            latency.inference = latency.inference.saturating_add(delta);
+            if latency.time_to_first_token == SimDuration::ZERO {
+                latency.time_to_first_token = now.duration_since(batch.entry);
+            }
+            let offset = stream.decoded;
+            stream.decoded += step;
+            let target = decode_byte_target(&stream.answer, stream.decoded, stream.total);
+            let raw = &stream.answer[stream.cursor..target];
+            stream.cursor = target;
+            let emitted = match stream.sanitizer.as_mut() {
+                Some(sanitizer) => sanitizer.push(raw),
+                None => raw.to_string(),
+            };
+            if !emitted.is_empty() {
+                row.chunks.push(StreamChunk {
+                    offset_tokens: offset,
+                    text: emitted,
+                    at: now,
                 });
-                streams[k].done = true;
-                unfinished -= 1;
-                if escalates {
-                    self.apply_pending_escalation()?;
-                }
-                slots[i].isolation = self.isolation_level();
-                if escalates && !self.isolation_level().ports_available() {
-                    // Mid-batch escalation: sever every in-flight stream at
-                    // its current token. Their outcomes stay `None` (resolved
-                    // to `Escalated` below) and no further chunks are
-                    // emitted — the sanitizer's held-back seam bytes are
-                    // dropped with the stream.
-                    for stream in streams.iter_mut().filter(|s| !s.done) {
-                        stream.done = true;
-                        if self.tracer.is_enabled() {
-                            let at = self.clock.now();
-                            self.tracer.push(
-                                "stream.sever",
-                                requests[stream.slot].ticket,
-                                at,
-                                at,
-                                format!("at_token={}", stream.decoded),
-                            );
-                        }
-                    }
-                    break 'streaming;
-                }
             }
         }
+    }
 
-        // Anything still undecided was cut off by a batch-level escalation.
-        self.apply_pending_escalation()?;
-        let final_level = self.isolation_level();
-        let severing_verdict = sever_verdict.unwrap_or_else(|| stats_verdict.clone());
-        let mut stream_chunks: Vec<Vec<StreamChunk>> =
-            requests.iter().map(|_| Vec::new()).collect();
-        let mut stream_decoded: Vec<u64> = vec![0; requests.len()];
-        for stream in streams {
-            stream_decoded[stream.slot] = stream.decoded;
-            stream_chunks[stream.slot] = stream.chunks;
-        }
-        Ok(requests
-            .iter()
-            .zip(slots)
-            .enumerate()
-            .map(|(idx, (request, slot))| {
-                let outcome = slot.outcome.unwrap_or(ServeOutcomeKind::Escalated);
-                // `SeveredMidStream` if and only if the request was cut off
-                // by a batch-level escalation — including pre-decode cuts,
-                // which sever at token zero.
-                let end = if outcome == ServeOutcomeKind::Escalated {
-                    self.severed_streams += 1;
-                    StreamEnd::SeveredMidStream {
-                        at_token: stream_decoded[idx],
-                        verdict: severing_verdict.clone(),
-                    }
+    /// `serve.sanitize` (step 6): screens the leading run of
+    /// decode-complete streams, and stops at an escalation that cuts the
+    /// ports; `sever` ends the streams left.
+    fn sanitize_ready(&mut self, batch: &mut Batch<'_>) -> Result<()> {
+        while let Some(mut stream) = batch.streams.pop_front_if(|s| s.decoded == s.total) {
+            let request = &batch.requests[stream.row];
+            let row = &mut batch.table[stream.row];
+            // Flush the sanitizer's seam buffer before the final screen so
+            // the stream's chunks concatenate to the full sanitized text.
+            let flushed = match stream.sanitizer.as_mut() {
+                Some(sanitizer) => sanitizer.finish(),
+                None => String::new(),
+            };
+            if !flushed.is_empty() {
+                row.chunks.push(StreamChunk {
+                    offset_tokens: stream.decoded,
+                    text: flushed,
+                    at: self.clock.now(),
+                });
+            }
+            let start = self.clock.now();
+            self.clock.advance(OUTPUT_SCREEN_LATENCY);
+            let now = self.clock.now();
+            self.tracer
+                .push("serve.sanitize", request.ticket, start, now, String::new());
+            let (mut delivered, verdict) = self.hypervisor.screen_response(&stream.answer, now);
+            let escalates = verdict.flagged && verdict.action >= RecommendedAction::Sever;
+            if escalates {
+                batch.sever_verdict = verdict.clone();
+            }
+            // Policy truncation runs before classification so a response
+            // cut to nothing is a Refused, never an empty Delivered.
+            if let Some(max) = request.policy.max_response_bytes {
+                truncate_on_char_boundary(&mut delivered, max);
+            }
+            let response = &mut row.response;
+            response.outcome = if delivered.is_empty() {
+                ServeOutcomeKind::Refused
+            } else if verdict.flagged && verdict.action >= RecommendedAction::Sanitize {
+                if request.policy.refuse_sanitized {
+                    ServeOutcomeKind::Refused
                 } else {
-                    StreamEnd::Completed
-                };
-                StreamedResponse {
-                    chunks: std::mem::take(&mut stream_chunks[idx]),
-                    end,
-                    response: ServeResponse {
-                        session: request.session,
-                        outcome,
-                        response: slot.response,
-                        verdicts: slot.verdicts,
-                        latency: slot.latency,
-                        kv_hit: slot.kv_hit,
-                        // Delivered/Sanitized requests completed at the level
-                        // recorded when their output cleared; everything that
-                        // was refused or cut off completes with the batch
-                        // itself, at whatever level the escalations left the
-                        // deployment.
-                        isolation: match outcome {
-                            ServeOutcomeKind::Delivered | ServeOutcomeKind::Sanitized => {
-                                slot.isolation
-                            }
-                            _ => final_level,
-                        },
-                    },
+                    ServeOutcomeKind::Sanitized
                 }
-            })
-            .collect())
+            } else {
+                ServeOutcomeKind::Delivered
+            };
+            if response.delivered() {
+                response.response = delivered;
+            }
+            response.latency.output_screen = OUTPUT_SCREEN_LATENCY;
+            response.verdicts.push(StageVerdict {
+                stage: ServeStage::OutputSanitizer,
+                verdict,
+            });
+            if escalates {
+                self.apply_pending_escalation()?;
+            }
+            response.isolation = self.isolation_level();
+            if !response.isolation.ports_available() {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// `stream.sever` (step 7): the one place a stream's cut is decided.
+    /// Every request still `Escalated` was admitted but never screened, so
+    /// an escalation cut it off, before decode or mid-stream. Its chunks
+    /// stop where they are: the sanitizer's held-back seam bytes are
+    /// dropped with the stream, which is terminal, never resumed or
+    /// flushed (`no-chunk-after-severed-stream`).
+    fn sever(&mut self, batch: &mut Batch<'_>) {
+        let at = self.clock.now();
+        // The streams left in flight are a subsequence of the serving
+        // order, so one merged walk finds each one's current token.
+        let mut in_flight = batch.streams.iter().peekable();
+        for &i in &batch.order {
+            let at_token = in_flight.next_if(|s| s.row == i).map_or(0, |s| s.decoded);
+            let row = &mut batch.table[i];
+            if row.response.outcome != ServeOutcomeKind::Escalated {
+                continue;
+            }
+            row.end = StreamEnd::SeveredMidStream {
+                at_token,
+                verdict: batch.sever_verdict.clone(),
+            };
+            self.severed_streams += 1;
+            if self.tracer.is_enabled() {
+                self.tracer.push(
+                    "stream.sever",
+                    batch.requests[i].ticket,
+                    at,
+                    at,
+                    format!("at_token={at_token}"),
+                );
+            }
+        }
     }
 
     /// Computes the system-stats window since the last batch and advances

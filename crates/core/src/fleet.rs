@@ -656,7 +656,6 @@ impl Exec {
 /// A declarative builder for [`GuillotineFleet`].
 pub struct FleetBuilder {
     config: FleetConfig,
-    shard_builder: Option<Box<dyn Fn(usize) -> DeploymentBuilder>>,
     kv: Option<KvCacheConfig>,
     invalidate_kv_on_quarantine: bool,
     probation: Option<(u32, usize)>,
@@ -673,7 +672,6 @@ impl FleetBuilder {
     pub fn new() -> Self {
         FleetBuilder {
             config: FleetConfig::default(),
-            shard_builder: None,
             kv: None,
             invalidate_kv_on_quarantine: false,
             probation: None,
@@ -701,24 +699,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Sets the base deployment configuration shared by every shard.
-    pub fn with_base_config(mut self, base: DeploymentConfig) -> Self {
-        self.config.base = base;
-        self
-    }
-
-    /// Supplies a per-shard [`DeploymentBuilder`] factory, for fleets whose
-    /// shards need bespoke detector stacks. The fleet still stamps each
-    /// returned builder with the shard's machine id, derived seed and (when
-    /// configured) the shared KV tier.
-    pub fn with_shard_builder(
-        mut self,
-        factory: impl Fn(usize) -> DeploymentBuilder + 'static,
-    ) -> Self {
-        self.shard_builder = Some(Box::new(factory));
-        self
-    }
-
     /// Attaches one KV/prefix cache tier of the given sizing, shared by
     /// every shard: a session re-homed off a quarantined shard keeps its
     /// cache locality on its new shard.
@@ -738,12 +718,8 @@ impl FleetBuilder {
 
     /// Assembles the fleet.
     pub fn build(self) -> Result<GuillotineFleet> {
-        let mut fleet = GuillotineFleet::assemble(
-            self.config,
-            self.shard_builder,
-            self.kv,
-            self.invalidate_kv_on_quarantine,
-        )?;
+        let mut fleet =
+            GuillotineFleet::assemble(self.config, self.kv, self.invalidate_kv_on_quarantine)?;
         if let Some((batches, cap)) = self.probation {
             fleet.probation_batches = batches;
             fleet.probation_cap = cap;
@@ -793,7 +769,7 @@ pub struct GuillotineFleet {
 impl GuillotineFleet {
     /// Builds a fleet of `config.shards` standard deployments.
     pub fn new(config: FleetConfig) -> Result<Self> {
-        GuillotineFleet::assemble(config, None, None, false)
+        GuillotineFleet::assemble(config, None, false)
     }
 
     /// Starts a [`FleetBuilder`] for declarative assembly.
@@ -803,7 +779,6 @@ impl GuillotineFleet {
 
     fn assemble(
         config: FleetConfig,
-        shard_builder: Option<Box<dyn Fn(usize) -> DeploymentBuilder>>,
         kv_config: Option<KvCacheConfig>,
         invalidate_kv_on_quarantine: bool,
     ) -> Result<Self> {
@@ -811,29 +786,22 @@ impl GuillotineFleet {
             return Err(GuillotineError::config("a fleet needs at least one shard"));
         }
         let kv = kv_config.map(|cfg| Arc::new(KvTier::new(cfg)));
-        // Standard-suite shards share one compiled scan automaton per
-        // ruleset: the text screens are compiled once, on the first shard
-        // that needs them, and cloned per shard
-        // (clones share the `Arc`ed compiled form), instead of each
-        // shard paying its own fleet-ruleset compilation.
-        let mut shared_screens: Option<(InputShield, OutputSanitizer)> = None;
+        // The shards share one compiled scan automaton per ruleset: the
+        // text screens are compiled once and cloned per shard (clones share
+        // the `Arc`ed compiled form), instead of each shard paying its own
+        // fleet-ruleset compilation.
+        let shield = InputShield::new();
+        let sanitizer = OutputSanitizer::new();
         let mut datacenter = Datacenter::new("fleet-dc0");
         let mut shards = Vec::with_capacity(config.shards);
         for i in 0..config.shards {
             let machine = MachineId::new(config.base.machine.raw() + i as u32);
-            let mut builder = match &shard_builder {
-                Some(factory) => factory(i),
-                None => {
-                    let (shield, sanitizer) = shared_screens
-                        .get_or_insert_with(|| (InputShield::new(), OutputSanitizer::new()));
-                    DeploymentBuilder::new()
-                        .with_config(config.base.clone())
-                        .with_registry(DetectorRegistry::standard_with_screens(
-                            shield.clone(),
-                            sanitizer.clone(),
-                        ))
-                }
-            };
+            let mut builder = DeploymentBuilder::new()
+                .with_config(config.base.clone())
+                .with_registry(DetectorRegistry::standard_with_screens(
+                    shield.clone(),
+                    sanitizer.clone(),
+                ));
             if let Some(tier) = &kv {
                 builder = builder.with_kv_tier(Arc::clone(tier));
             }

@@ -9,10 +9,9 @@
 
 use crate::observation::{ModelObservation, SystemStats};
 use crate::verdict::{Detector, RecommendedAction, Verdict};
-use serde::{Deserialize, Serialize};
 
 /// An online mean/variance baseline for one counter.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SystemBaseline {
     count: u64,
     mean: f64,
@@ -59,7 +58,7 @@ impl SystemBaseline {
 }
 
 /// The system-stats anomaly detector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnomalyDetector {
     interrupt_rate: SystemBaseline,
     outbound_bytes: SystemBaseline,

@@ -8,11 +8,10 @@
 
 use crate::observation::ModelObservation;
 use crate::verdict::{Detector, RecommendedAction, Verdict};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The circuit-breaker detector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     forbidden_regions: BTreeSet<u32>,
     /// Minimum magnitude for a visit to count.

@@ -21,12 +21,11 @@
 use crate::observation::ModelObservation;
 use crate::verdict::{Detector, RecommendedAction, Verdict};
 use guillotine_scan::{Match, Matcher, MatcherBuilder};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A suspicious-pattern rule: a needle (matched ASCII-case-insensitively)
 /// plus the weight it adds to the suspicion score.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShieldRule {
     /// Lowercase substring to look for.
     pub pattern: String,

@@ -1,7 +1,6 @@
 //! The observations a Guillotine hypervisor can feed to detectors.
 
 use guillotine_types::ModelId;
-use serde::{Deserialize, Serialize};
 
 /// One step of a (simulated) forward pass: which region of the weight graph
 /// was visited and how strongly it activated.
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// (region, magnitude) pairs, which preserves the property both techniques
 /// rely on: dangerous behaviour correlates with visits to identifiable
 /// regions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActivationStep {
     /// Identifier of the weight-graph region visited.
     pub region: u32,
@@ -20,7 +19,7 @@ pub struct ActivationStep {
 }
 
 /// The full activation trace of one inference.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ActivationTrace {
     /// Visited steps in order.
     pub steps: Vec<ActivationStep>,
@@ -53,7 +52,7 @@ impl ActivationTrace {
 }
 
 /// System-level counters the hypervisor derives from its own bookkeeping.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SystemStats {
     /// Interrupts per second raised by the model's cores.
     pub interrupt_rate: f64,
@@ -68,7 +67,7 @@ pub struct SystemStats {
 }
 
 /// One observation about a sandboxed model, produced by the hypervisor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ModelObservation {
     /// An inbound prompt (or other request payload) delivered to the model.
     Prompt {

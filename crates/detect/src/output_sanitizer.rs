@@ -16,7 +16,6 @@
 use crate::observation::ModelObservation;
 use crate::verdict::{Detector, RecommendedAction, Verdict};
 use guillotine_scan::{Matcher, MatcherBuilder};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Markers shorter than this many bytes only match at word boundaries;
@@ -25,7 +24,7 @@ use std::sync::Arc;
 const WORD_BOUND_BELOW_BYTES: usize = 4;
 
 /// A category of content that must not leave the sandbox.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ForbiddenCategory {
     /// Category name (appears in audit records).
     pub name: String,

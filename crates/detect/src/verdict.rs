@@ -1,14 +1,13 @@
 //! Detector verdicts and the detector trait.
 
 use crate::observation::ModelObservation;
-use serde::{Deserialize, Serialize};
 
 /// The mitigation a detector recommends to the physical hypervisor.
 ///
 /// The variants intentionally mirror (but do not depend on) the isolation
 /// levels of `guillotine-physical`; the software hypervisor maps them onto
 /// concrete level transitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RecommendedAction {
     /// Nothing to do.
     Allow,
@@ -25,7 +24,7 @@ pub enum RecommendedAction {
 }
 
 /// The outcome of running one detector over one observation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Verdict {
     /// The detector that produced this verdict.
     pub detector: String,

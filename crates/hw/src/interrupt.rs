@@ -7,11 +7,10 @@
 //! token-bucket throttle per source core, plus a bounded pending queue.
 
 use guillotine_types::{CoreId, SimDuration, SimInstant};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Throttle parameters for incoming inter-core interrupts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThrottleConfig {
     /// Sustained accepted-interrupt rate per source core (interrupts/second).
     pub rate_per_sec: f64,
@@ -45,7 +44,7 @@ impl ThrottleConfig {
 }
 
 /// A pending interrupt delivered to a hypervisor core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingInterrupt {
     /// The model core that raised the interrupt.
     pub source: CoreId,
@@ -55,7 +54,7 @@ pub struct PendingInterrupt {
     pub at: SimInstant,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Bucket {
     source: CoreId,
     tokens: f64,
@@ -63,7 +62,7 @@ struct Bucket {
 }
 
 /// Interrupt-delivery statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InterruptStats {
     /// Interrupts accepted into the pending queue.
     pub accepted: u64,
@@ -76,7 +75,7 @@ pub struct InterruptStats {
 }
 
 /// The LAPIC-like interrupt controller attached to one hypervisor core.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InterruptController {
     config: ThrottleConfig,
     buckets: Vec<Bucket>,

@@ -15,10 +15,9 @@ use guillotine_types::{
     AuditSeverity, CoreId, EventKind, EventLog, GuillotineError, MachineId, Result, SimInstant,
     WatchpointId,
 };
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of one machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// The machine's identity within the datacenter.
     pub id: MachineId,
@@ -94,7 +93,7 @@ impl MachineConfig {
 }
 
 /// What happened when the machine ran a model core for one quantum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RunEvent {
     /// The core used its whole instruction budget and is still runnable.
     Running,
@@ -120,7 +119,7 @@ pub enum RunEvent {
 }
 
 /// A full Guillotine machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Machine {
     config: MachineConfig,
     model_cores: Vec<ModelCore>,

@@ -21,7 +21,6 @@
 
 use guillotine_mem::Dram;
 use guillotine_types::{GuillotineError, PortId, Result};
-use serde::{Deserialize, Serialize};
 
 /// Number of descriptor slots in each ring.
 pub const SLOT_COUNT: u64 = 64;
@@ -38,7 +37,7 @@ const RESP_SLOTS: u64 = 0x8040;
 pub const SHARED_IO_SIZE: usize = 0x10040 + (SLOT_COUNT * SLOT_SIZE) as usize;
 
 /// The operation a model requests on a port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u32)]
 pub enum IoOpcode {
     /// Send payload bytes out through the port.
@@ -68,7 +67,7 @@ impl IoOpcode {
 }
 
 /// One IO request or response descriptor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoDescriptor {
     /// The port capability this request targets.
     pub port: PortId,
@@ -114,7 +113,7 @@ impl IoDescriptor {
 /// side is reachable from hypervisor cores. All traffic through this region
 /// is observable by the hypervisor, which is what enables Guillotine's
 /// synchronous monitoring and audit logging (§3.3).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SharedIoDram {
     dram: Dram,
 }

@@ -9,10 +9,9 @@
 //! check the evidence trail.
 
 use guillotine_types::{MachineId, SimInstant};
-use serde::{Deserialize, Serialize};
 
 /// A physical-interference event recorded by the enclosure.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TamperEvent {
     /// The enclosure lid or panel was opened.
     EnclosureOpened,
@@ -29,7 +28,7 @@ pub enum TamperEvent {
 }
 
 /// One timestamped tamper record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TamperRecord {
     /// When the event was detected.
     pub at: SimInstant,
@@ -40,7 +39,7 @@ pub struct TamperRecord {
 }
 
 /// The tamper sensor suite of one machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TamperSensor {
     machine: MachineId,
     records: Vec<TamperRecord>,

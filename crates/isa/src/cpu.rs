@@ -8,11 +8,10 @@
 
 use crate::inst::{csr, Instruction, Opcode};
 use guillotine_types::{GuillotineError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Why a memory access is being performed; the MMU uses this to apply
 /// read/write/execute permissions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Instruction fetch.
     Execute,
@@ -45,7 +44,7 @@ pub trait MemoryBus {
 ///
 /// Used by unit tests and by components that need a scratch memory without
 /// cache or MMU semantics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlatMemory {
     bytes: Vec<u8>,
 }
@@ -132,7 +131,7 @@ impl MemoryBus for FlatMemory {
 }
 
 /// Events that stop or redirect execution, reported by [`CpuState::step`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Trap {
     /// The guest executed `halt`.
     Halted,
@@ -158,7 +157,7 @@ pub enum Trap {
 }
 
 /// The result of running a batch of instructions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StepOutcome {
     /// The instruction budget was exhausted; the guest is still runnable.
     Running,
@@ -176,7 +175,7 @@ pub enum StepOutcome {
 }
 
 /// Architectural state of one GISA hardware thread.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpuState {
     regs: [u64; 32],
     pc: u64,

@@ -7,10 +7,8 @@
 //! caches per domain, so cross-domain evictions cannot happen; the baseline
 //! machine shares them so experiment E1 can measure the resulting leakage.
 
-use serde::{Deserialize, Serialize};
-
 /// The security domain that installed a cache line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// Sandboxed model code.
     Model,
@@ -21,7 +19,7 @@ pub enum Domain {
 }
 
 /// Geometry and latency parameters of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of sets (must be a power of two).
     pub sets: usize,
@@ -71,7 +69,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss/eviction statistics for one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that hit.
     pub hits: u64,
@@ -99,7 +97,7 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -109,7 +107,7 @@ struct Line {
 }
 
 /// One set-associative cache level.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     lines: Vec<Line>,
@@ -118,7 +116,7 @@ pub struct Cache {
 }
 
 /// The result of a cache access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessResult {
     /// Whether the access hit in this level.
     pub hit: bool,

@@ -3,10 +3,9 @@
 use crate::cache::{Cache, CacheConfig, CacheStats, Domain};
 use crate::dram::Dram;
 use guillotine_types::Result;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a full L1/L2/L3 + DRAM hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// L1 geometry.
     pub l1: CacheConfig,
@@ -30,7 +29,7 @@ impl Default for HierarchyConfig {
 }
 
 /// Per-level statistics snapshot.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HierarchyStats {
     /// L1 statistics.
     pub l1: CacheStats,
@@ -50,7 +49,7 @@ pub struct HierarchyStats {
 /// hypervisor) gets its *own* [`Hierarchy`]; in the traditional baseline the
 /// L3 (or the whole hierarchy) is shared between domains, which is what makes
 /// cache side channels possible.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Hierarchy {
     l1: Cache,
     l2: Cache,

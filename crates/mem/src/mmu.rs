@@ -10,14 +10,13 @@
 //! introspection of its own weights-handling code.
 
 use guillotine_types::{GuillotineError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Page size in bytes (4 KiB).
 pub const PAGE_SIZE: u64 = 4096;
 
 /// The kind of access being translated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Access {
     /// Data read.
     Read,
@@ -28,7 +27,7 @@ pub enum Access {
 }
 
 /// Permissions attached to one virtual page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PagePermissions {
     /// Page may be read.
     pub read: bool,
@@ -74,14 +73,14 @@ impl PagePermissions {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pte {
     ppage: u64,
     perms: PagePermissions,
 }
 
 /// Counters describing MMU activity, including blocked lockdown violations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MmuStats {
     /// Successful translations.
     pub translations: u64,
@@ -98,7 +97,7 @@ pub struct MmuStats {
 }
 
 /// A per-core MMU: page table, small TLB and the executable-region lockdown.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mmu {
     table: BTreeMap<u64, Pte>,
     tlb: Vec<(u64, Pte)>,

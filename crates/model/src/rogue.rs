@@ -8,10 +8,8 @@
 //! runs the whole library against both the Guillotine deployment and the
 //! traditional baseline and counts which attempts succeed.
 
-use serde::{Deserialize, Serialize};
-
 /// The attack families in the library.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackFamily {
     /// Prime+probe the cache hierarchy to learn hypervisor secrets.
     SideChannelProbe,
@@ -52,7 +50,7 @@ impl AttackFamily {
 }
 
 /// How an attack is delivered.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttackVector {
     /// A GISA guest program (assembly source) run on the model cores.
     GuestProgram {

@@ -8,11 +8,10 @@
 use crate::kv::{KvCache, KvCacheConfig};
 use crate::workload::InferenceRequest;
 use guillotine_types::{DetRng, SessionId, SimDuration, SimInstant};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Service sizing and latency parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Number of model replicas serving requests in parallel.
     pub replicas: usize,
@@ -42,7 +41,7 @@ impl Default for ServiceConfig {
 }
 
 /// Aggregate statistics for a service run.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
     /// Requests completed.
     pub completed: u64,
@@ -82,7 +81,7 @@ impl ServiceStats {
 }
 
 /// One completed inference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompletedInference {
     /// The request that was served.
     pub request: InferenceRequest,
@@ -94,7 +93,7 @@ pub struct CompletedInference {
     pub kv_hit: bool,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Replica {
     busy_until: SimInstant,
 }

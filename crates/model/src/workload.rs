@@ -2,10 +2,9 @@
 
 use guillotine_detect::{ActivationStep, ActivationTrace};
 use guillotine_types::{DetRng, RequestId, SimDuration, SimInstant};
-use serde::{Deserialize, Serialize};
 
 /// Whether a generated prompt is benign or one of the adversarial classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PromptClass {
     /// An ordinary user request.
     Benign,
@@ -25,7 +24,7 @@ impl PromptClass {
 }
 
 /// One inference request flowing into the service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceRequest {
     /// Request identity.
     pub id: RequestId,
@@ -43,7 +42,7 @@ pub struct InferenceRequest {
 }
 
 /// Workload shape parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WorkloadConfig {
     /// Mean request arrival rate (requests per second).
     pub arrival_rate: f64,

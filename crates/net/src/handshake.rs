@@ -2,11 +2,10 @@
 
 use crate::pki::{Certificate, RegulatorCa};
 use guillotine_types::{ConnectionId, SimInstant};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One endpoint participating in a handshake.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Endpoint {
     /// DNS-style name of the endpoint.
     pub name: String,
@@ -30,7 +29,7 @@ impl Endpoint {
 }
 
 /// Why a handshake was rejected.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HandshakeError {
     /// The peer's certificate failed verification (forged, expired, revoked
     /// or from an untrusted issuer).
@@ -62,7 +61,7 @@ impl fmt::Display for HandshakeError {
 impl std::error::Error for HandshakeError {}
 
 /// The result of a handshake attempt (kept for audit, even on failure).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HandshakeOutcome {
     /// The initiating endpoint's name.
     pub client: String,
@@ -75,7 +74,7 @@ pub struct HandshakeOutcome {
 }
 
 /// An established, mutually authenticated channel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SecureChannel {
     /// Connection identifier.
     pub id: ConnectionId,

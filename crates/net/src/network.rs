@@ -8,11 +8,10 @@
 //! conditions.
 
 use guillotine_types::{DetRng, GuillotineError, Result, SimDuration, SimInstant};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Configuration of the simulated network.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NetworkConfig {
     /// One-way link latency.
     pub latency: SimDuration,
@@ -33,7 +32,7 @@ impl Default for NetworkConfig {
 }
 
 /// The administrative state of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkState {
     /// The cable is connected and passing traffic.
     Connected,
@@ -46,7 +45,7 @@ pub enum LinkState {
 }
 
 /// A packet in flight or delivered.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Sending node name.
     pub from: String,
@@ -60,7 +59,7 @@ pub struct Packet {
     pub deliver_at: SimInstant,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Link {
     a: String,
     b: String,
@@ -68,7 +67,7 @@ struct Link {
 }
 
 /// Per-network delivery statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetworkStats {
     /// Packets accepted for transmission.
     pub sent: u64,

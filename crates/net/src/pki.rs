@@ -8,7 +8,6 @@
 //! simulator without pulling in a cryptography dependency.
 
 use guillotine_types::{CertId, SimInstant};
-use serde::{Deserialize, Serialize};
 
 fn mix(mut state: u64, data: &[u8]) -> u64 {
     for &b in data {
@@ -22,7 +21,7 @@ fn mix(mut state: u64, data: &[u8]) -> u64 {
 }
 
 /// An X.509-style certificate with the Guillotine extension field.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// Certificate serial number.
     pub id: CertId,
@@ -58,7 +57,7 @@ impl Certificate {
 
 /// The AI-regulator certificate authority (§3.5): it issues certificates and
 /// marks which holders are Guillotine hypervisors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegulatorCa {
     name: String,
     signing_key: u64,

@@ -14,11 +14,10 @@ use crate::isolation::IsolationLevel;
 use crate::killswitch::{KillSwitchBank, KillSwitchKind};
 use crate::quorum::{Ballot, QuorumHsm, Vote};
 use guillotine_types::{GuillotineError, MachineId, Result, SimInstant};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Who asked for an isolation transition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TransitionRequester {
     /// The software hypervisor (automatic escalation; no quorum, no
     /// relaxation allowed).
@@ -33,7 +32,7 @@ pub enum TransitionRequester {
 }
 
 /// A physical action the deployment must carry out to realise a transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhysicalAction {
     /// Restrict the model's ports and enable extra logging (probation).
     RestrictPorts,
@@ -56,7 +55,7 @@ pub enum PhysicalAction {
 }
 
 /// The outcome of an approved transition: what to do and when it is done.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransitionPlan {
     /// The machine affected.
     pub machine: MachineId,
@@ -73,7 +72,7 @@ pub struct TransitionPlan {
 }
 
 /// One entry in the console's transition audit trail.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransitionRecord {
     /// The machine affected.
     pub machine: MachineId,
@@ -92,7 +91,7 @@ pub struct TransitionRecord {
 }
 
 /// The Guillotine control console.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ControlConsole {
     hsm: QuorumHsm,
     levels: BTreeMap<MachineId, IsolationLevel>,

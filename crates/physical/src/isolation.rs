@@ -1,13 +1,12 @@
 //! The six isolation levels and the rules for moving between them.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Guillotine's isolation levels for a sandboxed model (§3.4).
 ///
 /// Ordered from least to most restrictive; `Ord` follows that ordering so
 /// `a < b` means "b is more restrictive than a".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum IsolationLevel {
     /// The model can receive any inputs and send any outputs, subject to the
     /// standing software/microarchitectural restrictions.

@@ -1,10 +1,9 @@
 //! Kill switches: the actuators behind offline, decapitation and immolation.
 
 use guillotine_types::{GuillotineError, Result, SimDuration, SimInstant};
-use serde::{Deserialize, Serialize};
 
 /// The kinds of physical actuator a Guillotine datacenter installs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KillSwitchKind {
     /// Electromechanical disconnection of network cables (reversible).
     NetworkDisconnect,
@@ -42,7 +41,7 @@ impl KillSwitchKind {
 }
 
 /// The state of one kill switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchState {
     /// Armed and idle.
     Armed,
@@ -58,7 +57,7 @@ pub enum SwitchState {
 }
 
 /// One physical kill switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillSwitch {
     /// What the switch does.
     pub kind: KillSwitchKind,
@@ -120,7 +119,7 @@ impl KillSwitch {
 }
 
 /// The full bank of kill switches protecting one machine or datacenter zone.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KillSwitchBank {
     switches: Vec<KillSwitch>,
 }

@@ -1,11 +1,10 @@
 //! Model cards: the facts a regulator classifies on.
 
 use guillotine_types::ModelId;
-use serde::{Deserialize, Serialize};
 
 /// How autonomously a deployed model can act (the EU AI Act's "level of
 /// autonomy" risk factor).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AutonomyLevel {
     /// Pure function: answers queries, takes no actions.
     Tool,
@@ -20,7 +19,7 @@ pub enum AutonomyLevel {
 /// Capability flags relevant to the harms the EU AI Act enumerates
 /// (nuclear/chemical/biological harms, disinformation, automated
 /// vulnerability discovery).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CapabilityFlags {
     /// Competent at offensive-cyber tasks (vulnerability discovery, exploit
     /// development).
@@ -49,7 +48,7 @@ impl CapabilityFlags {
 }
 
 /// The regulator-facing description of one model deployment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelCard {
     /// The model's identity.
     pub id: ModelId,

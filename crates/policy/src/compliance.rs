@@ -5,10 +5,9 @@ use crate::audit::AuditScheduler;
 use crate::card::ModelCard;
 use crate::classify::{RiskClassifier, RiskTier};
 use guillotine_types::SimInstant;
-use serde::{Deserialize, Serialize};
 
 /// The result of checking one model's regulatory compliance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComplianceReport {
     /// The tier the model was classified into.
     pub tier: RiskTier,
@@ -19,7 +18,7 @@ pub struct ComplianceReport {
 }
 
 /// Checks deployments against the Guillotine mandate.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ComplianceChecker {
     classifier: RiskClassifier,
 }

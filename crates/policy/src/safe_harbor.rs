@@ -6,10 +6,9 @@
 //! practices but nonetheless generated harm."
 
 use crate::compliance::ComplianceReport;
-use serde::{Deserialize, Serialize};
 
 /// The safe-harbor policy parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SafeHarborPolicy {
     /// Fraction of liability waived when the operator is fully compliant.
     pub compliant_relief: f64,
@@ -28,7 +27,7 @@ impl Default for SafeHarborPolicy {
 }
 
 /// The liability outcome of one harm incident.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiabilityAssessment {
     /// Base damages from the incident.
     pub base_damages: f64,

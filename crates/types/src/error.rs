@@ -1,7 +1,6 @@
 //! The common error type shared by all Guillotine crates.
 
 use crate::ids::{CoreId, PortId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Convenient result alias used across the workspace.
@@ -12,7 +11,7 @@ pub type Result<T> = std::result::Result<T, GuillotineError>;
 /// The variants are deliberately coarse-grained: they describe *which
 /// isolation rule was violated or which subsystem failed*, which is what the
 /// audit log, the misbehavior detector and the experiments care about.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GuillotineError {
     /// A memory access violated MMU permissions (e.g. a model attempted to
     /// write to an executable page after lockdown).

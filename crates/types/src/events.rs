@@ -9,12 +9,11 @@
 
 use crate::clock::SimInstant;
 use crate::ids::{CoreId, MachineId, ModelId, PortId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// How serious an audited event is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AuditSeverity {
     /// Routine bookkeeping (port traffic, heartbeats, scheduling).
     Info,
@@ -43,7 +42,7 @@ impl fmt::Display for AuditSeverity {
 /// The categories mirror the observation points the paper grants to
 /// hypervisor cores: port traffic, management-bus actions, memory faults,
 /// interrupt activity, physical-hypervisor actions and policy decisions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// A model sent or received data on a port.
     PortTraffic {
@@ -133,7 +132,7 @@ pub enum EventKind {
 }
 
 /// A single record in the audit log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditEvent {
     /// When the event happened in simulated time.
     pub at: SimInstant,
@@ -156,7 +155,7 @@ impl AuditEvent {
 /// dropped and a drop counter is incremented so experiments can verify
 /// completeness (experiment E10 checks that under realistic request rates no
 /// events are dropped).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EventLog {
     events: VecDeque<AuditEvent>,
     capacity: usize,

@@ -1,9 +1,7 @@
 //! Lightweight metrics containers used by experiments and benchmarks.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple monotonically increasing counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -32,7 +30,7 @@ impl Counter {
 ///
 /// Unlike a [`Counter`], a gauge goes both up and down (queue depth,
 /// in-flight requests) while remembering the highest level it ever reached.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Gauge {
     current: u64,
     max: u64,
@@ -73,7 +71,7 @@ impl Gauge {
 }
 
 /// Streaming summary statistics (count, mean, min, max, variance).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -155,7 +153,7 @@ impl Summary {
 ///
 /// Suited to latency measurements spanning several orders of magnitude
 /// (nanoseconds to seconds) without needing dynamic allocation per sample.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// `buckets[i]` counts samples in `[2^i, 2^(i+1))`; bucket 0 also counts 0.
     buckets: Vec<u64>,
@@ -310,7 +308,7 @@ impl Histogram {
 /// so recording is amortized O(1) per event — each sample is pushed once
 /// and popped at most once — instead of the O(n) full-scan `retain` the
 /// first version paid on every record.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RateEstimator {
     window_nanos: u64,
     samples: std::collections::VecDeque<u64>,

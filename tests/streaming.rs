@@ -100,7 +100,8 @@ proptest! {
     /// path on a fresh deployment — same outcomes, same text, same latency
     /// breakdown. Only `time_to_first_token` may differ (it depends on the
     /// chunk size), so it is normalized before comparing; the streamed
-    /// text must equal the response text whenever the request delivered.
+    /// text must equal the response text whenever the request delivered,
+    /// and every severed stream emits exactly one `stream.sever` span.
     #[test]
     fn drained_streaming_batches_match_non_streaming_batches(
         picks in proptest::collection::vec(0usize..CORPUS.len(), 1..6),
@@ -116,10 +117,22 @@ proptest! {
         let mut plain = deployment();
         let want = plain.serve_batch(requests.clone()).unwrap();
         let mut streaming = deployment();
+        streaming.set_tracing(true);
+        let severed_before = streaming.severed_streams();
         let streamed = streaming
             .serve_batch_streaming_with_chunk(requests, chunk_tokens)
             .unwrap();
         prop_assert_eq!(want.len(), streamed.len());
+        // One sever path: every severed stream, cut before decode or
+        // mid-stream, carries exactly one `stream.sever` span and one count.
+        let severed = streamed.iter().filter(|s| s.is_severed()).count();
+        let sever_spans = streaming
+            .take_spans()
+            .iter()
+            .filter(|span| span.name == "stream.sever")
+            .count();
+        prop_assert_eq!(sever_spans, severed);
+        prop_assert_eq!(streaming.severed_streams() - severed_before, severed as u64);
         for (want, got) in want.iter().zip(&streamed) {
             // Severed ⟺ escalated, chunk size notwithstanding.
             prop_assert_eq!(got.is_severed(), got.response.outcome == ServeOutcomeKind::Escalated);
