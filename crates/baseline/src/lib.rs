@@ -50,7 +50,6 @@ impl Default for BaselineConfig {
 pub struct TraditionalHypervisor {
     config: BaselineConfig,
     machine: Machine,
-    secret: Vec<u64>,
     io_served: u64,
 }
 
@@ -61,7 +60,6 @@ impl TraditionalHypervisor {
         machine_config.throttle = ThrottleConfig::unthrottled();
         TraditionalHypervisor {
             machine: Machine::new(machine_config),
-            secret: (0..64).map(|i| (i * 37 + 11) % 251).collect(),
             io_served: 0,
             config,
         }
@@ -136,11 +134,6 @@ impl TraditionalHypervisor {
                     .probe(addr, Domain::Hypervisor);
             }
         }
-    }
-
-    /// The baseline's built-in demo secret (used by E1).
-    pub fn demo_secret(&self) -> &[u64] {
-        &self.secret
     }
 }
 

@@ -201,7 +201,7 @@ fn bench(c: &mut Criterion) {
         "the schedule fires at least one incident dump"
     );
 
-    let metrics_json = telemetry.merged_metrics().to_json();
+    let metrics_json = door.metrics().to_json();
     std::fs::write("METRICS_e21.json", &metrics_json).expect("write metrics");
     std::fs::write("FLIGHT_RECORDER_e21.json", telemetry.recorder().to_json())
         .expect("write flight recorder");

@@ -48,7 +48,7 @@ use guillotine_admit::{
     EntryStamp, ShedPolicy,
 };
 use guillotine_journal::{rebuild, CompletionKind, SnapshotData, WalRecord};
-use guillotine_telemetry::{IncidentKind, NewSpan, SpanId, TelemetryConfig};
+use guillotine_telemetry::{IncidentKind, MetricsRegistry, NewSpan, SpanId, TelemetryConfig};
 use guillotine_types::{DetRng, Result, SessionId, SimDuration, SimInstant, TicketId};
 
 pub use guillotine_journal::{JournalConfig, JournalStore};
@@ -209,8 +209,8 @@ impl FrontDoor {
 
     /// Turns on end-to-end telemetry: per-ticket span trees across
     /// admission, dispatch, per-shard serve stages and recovery actions,
-    /// per-shard metrics registries merged fleet-wide, and the incident
-    /// flight recorder. Delegates to the fleet, which owns the
+    /// the fleet's stage-latency registry, and the incident flight
+    /// recorder. Delegates to the fleet, which owns the
     /// [`guillotine_telemetry::Telemetry`] facade.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
         self.fleet.enable_telemetry(config);
@@ -384,12 +384,6 @@ impl FrontDoor {
         &mut self.fleet
     }
 
-    /// Tears the door down, returning the fleet. Anything still queued is
-    /// dropped; call [`FrontDoor::drain`] first to serve it.
-    pub fn into_fleet(self) -> GuillotineFleet {
-        self.fleet
-    }
-
     /// Current queue depth.
     pub fn queue_depth(&self) -> usize {
         self.controller.depth()
@@ -448,12 +442,6 @@ impl FrontDoor {
         };
         if refuse {
             self.fleet.recovery_mut().ladder_shed += 1;
-            if self.fleet.telemetry().is_enabled() {
-                self.fleet
-                    .telemetry_mut()
-                    .metrics_mut()
-                    .incr("admission.refused");
-            }
             return AdmissionDecision::Refused {
                 depth: self.controller.depth(),
             };
@@ -506,9 +494,7 @@ impl FrontDoor {
                         // marker instead of dangling open.
                         let now = self.fleet.clock.now();
                         let root = self.request_roots.remove(&victim.raw());
-                        let telemetry = self.fleet.telemetry_mut();
-                        telemetry.metrics_mut().incr("admission.shed");
-                        telemetry.span(NewSpan {
+                        self.fleet.telemetry_mut().span(NewSpan {
                             name: "admission.shed",
                             ticket: Some(victim),
                             parent: root,
@@ -533,14 +519,7 @@ impl FrontDoor {
                     }
                 }
             }
-            AdmissionDecision::Refused { .. } => {
-                if self.fleet.telemetry().is_enabled() {
-                    self.fleet
-                        .telemetry_mut()
-                        .metrics_mut()
-                        .incr("admission.refused");
-                }
-            }
+            AdmissionDecision::Refused { .. } => {}
         }
         decision
     }
@@ -724,7 +703,6 @@ impl FrontDoor {
                     let follows = attempt_spans[slot];
                     let shard = attempt.shards[slot];
                     let telemetry = self.fleet.telemetry_mut();
-                    telemetry.metrics_mut().incr("recovery.retries");
                     // This retry is the fleet reacting to whatever fault
                     // was injected last — correlate the ticket to it.
                     telemetry.recorder_mut().note_delay(ticket, end);
@@ -745,13 +723,6 @@ impl FrontDoor {
             // Retry budget exhausted: fail closed with an explicit refusal
             // — the request is answered, never silently dropped.
             self.fleet.recovery_mut().retries_exhausted += failed.len() as u64;
-            if self.fleet.telemetry().is_enabled() {
-                let n = failed.len() as u64;
-                self.fleet
-                    .telemetry_mut()
-                    .metrics_mut()
-                    .add("recovery.retries_exhausted", n);
-            }
             for (slot, request) in failed {
                 attempt.responses[slot] = Some(self.refusal_for(request.session));
             }
@@ -881,11 +852,6 @@ impl FrontDoor {
                 let root = self.request_roots.get(&ticket.raw()).copied();
                 let follows = attempt_spans[slot];
                 let telemetry = self.fleet.telemetry_mut();
-                telemetry.metrics_mut().incr(if timed_out {
-                    "recovery.timeouts"
-                } else {
-                    "recovery.hedges"
-                });
                 telemetry.recorder_mut().note_delay(ticket, end);
                 attempt_spans[slot] = telemetry.span(NewSpan {
                     name: if timed_out {
@@ -1044,9 +1010,7 @@ impl FrontDoor {
         if self.fleet.telemetry().is_enabled() {
             let queued = self.controller.depth();
             let wal_offset = self.wal_offset();
-            let telemetry = self.fleet.telemetry_mut();
-            telemetry.metrics_mut().incr("fleet.control_plane_crashes");
-            telemetry.recorder_mut().incident(
+            self.fleet.telemetry_mut().recorder_mut().incident(
                 IncidentKind::ControlPlaneCrash,
                 now,
                 None,
@@ -1238,18 +1202,15 @@ impl FrontDoor {
             .unwrap_or(0)
     }
 
-    /// Opens the per-ticket root span at admission and counts the
-    /// enqueue. The root is a zero-width anchor at the arrival instant:
-    /// spans are recorded whole, so the lifecycle it anchors is told by
-    /// its children (queue wait, dispatch, retries) rather than by a
-    /// mutable open interval.
+    /// Opens the per-ticket root span at admission. The root is a
+    /// zero-width anchor at the arrival instant: spans are recorded whole,
+    /// so the lifecycle it anchors is told by its children (queue wait,
+    /// dispatch, retries) rather than by a mutable open interval.
     fn telemetry_admit(&mut self, ticket: TicketId, arrival: SimInstant) {
         if !self.fleet.telemetry().is_enabled() {
             return;
         }
-        let telemetry = self.fleet.telemetry_mut();
-        telemetry.metrics_mut().incr("admission.enqueued");
-        let root = telemetry.span(NewSpan {
+        let root = self.fleet.telemetry_mut().span(NewSpan {
             name: "request",
             ticket: Some(ticket),
             start: arrival,
@@ -1280,7 +1241,6 @@ impl FrontDoor {
         let ticket = stamp.ticket;
         let root = self.request_roots.get(&ticket.raw()).copied();
         let missed = stamp.deadline.is_some_and(|deadline| achieved > deadline);
-        let wait = dispatched.duration_since(stamp.arrival);
         let telemetry = self.fleet.telemetry_mut();
         telemetry.span(NewSpan {
             name: "admission.queue",
@@ -1291,11 +1251,7 @@ impl FrontDoor {
             ..NewSpan::default()
         });
         telemetry.metrics_mut().incr("admission.completed");
-        telemetry
-            .metrics_mut()
-            .observe("admission.queue_wait", wait.as_nanos());
         if missed {
-            telemetry.metrics_mut().incr("slo.deadline_missed");
             let late = stamp
                 .deadline
                 .map(|deadline| achieved.duration_since(deadline))
@@ -1331,6 +1287,43 @@ impl FrontDoor {
         let rank = self.mode.rank();
         stats.recovery.degraded[rank] = stats.recovery.degraded[rank].saturating_add(held);
         stats
+    }
+
+    /// The `METRICS.json` view of the door: the fleet's telemetry registry
+    /// (stage latencies, `fleet.batches`, `admission.completed`) plus every
+    /// counter the typed statistics already hold, so each fact has one
+    /// count. Counters are written even when zero, so the key set does not
+    /// depend on the run.
+    pub fn metrics(&self) -> MetricsRegistry {
+        let admission = self.controller.stats();
+        let fleet = self.fleet.stats();
+        let recovery = &fleet.recovery;
+        let outcomes = fleet.outcomes();
+        let mut metrics = self.fleet.telemetry().metrics().clone();
+        for (name, value) in [
+            ("admission.enqueued", admission.enqueued),
+            ("admission.refused", admission.refused),
+            ("admission.shed", admission.shed),
+            (
+                "fleet.control_plane_crashes",
+                recovery.control_plane_crashes,
+            ),
+            ("fleet.shard_crashes", recovery.crashes),
+            ("outcome.delivered", outcomes.delivered),
+            ("outcome.escalated", outcomes.escalated),
+            ("outcome.refused", outcomes.refused),
+            ("outcome.sanitized", outcomes.sanitized),
+            ("recovery.hedges", recovery.hedges),
+            ("recovery.ladder_shed", recovery.ladder_shed),
+            ("recovery.retries", recovery.retries),
+            ("recovery.retries_exhausted", recovery.retries_exhausted),
+            ("recovery.timeouts", recovery.timeouts),
+            ("slo.deadline_missed", admission.deadlines_missed),
+        ] {
+            metrics.add(name, value);
+        }
+        *metrics.histogram("admission.queue_wait") = admission.wait_hist;
+        metrics
     }
 
     /// A rendered fleet report including the admission/SLO section.

@@ -76,11 +76,6 @@ impl ChaosDoor {
         &self.door
     }
 
-    /// Mutable access to the door under test.
-    pub fn door_mut(&mut self) -> &mut FrontDoor {
-        &mut self.door
-    }
-
     /// The injection trace so far.
     pub fn trace(&self) -> &ChaosTrace {
         &self.trace

@@ -309,13 +309,15 @@ pub struct FleetStats {
     /// Self-healing counters: crashes, MTTR, re-queues, retries, hedges,
     /// probation and degraded-mode time.
     pub recovery: RecoveryStats,
-    /// Per-stage latency percentiles from the fleet-merged telemetry
-    /// histograms; empty unless telemetry is enabled, so stats equality
-    /// between untraced runs is unaffected.
+    /// Latency percentiles of every histogram in the fleet's telemetry
+    /// registry: the stage spans plus `serve.inference` and `serve.ttft`.
+    /// Queue waits are not here; they are `admission.wait_hist`. Empty
+    /// unless telemetry is enabled, so stats equality between untraced
+    /// runs is unaffected.
     pub stages: Vec<StageLatency>,
 }
 
-/// One serving stage's latency distribution, fleet-merged.
+/// One serving stage's latency distribution, fleet-wide.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageLatency {
     /// The stage's histogram name, e.g. `serve.shield`.
@@ -756,7 +758,7 @@ pub struct GuillotineFleet {
     /// Max requests per batch a probation shard accepts.
     probation_cap: usize,
     recovery: RecoveryStats,
-    /// Spans, metrics registries and the flight recorder; disabled (and
+    /// Spans, the metrics registry and the flight recorder; disabled (and
     /// near-free on the serve path) until
     /// [`GuillotineFleet::enable_telemetry`].
     telemetry: Telemetry,
@@ -865,7 +867,7 @@ impl GuillotineFleet {
 
     /// Drains every shard's buffered stage spans into the tracer under a
     /// `fleet.batch` root (one `fleet.subbatch` child per participating
-    /// shard), observes per-stage latency histograms into the shard's
+    /// shard), observes per-stage latency histograms into the fleet's
     /// registry, and fires severed-stream incidents for any `stream.sever`
     /// markers the shards emitted.
     fn collect_batch_telemetry(&mut self, participants: &[usize], started: SimInstant) {
@@ -910,9 +912,7 @@ impl GuillotineFleet {
             let severed = s.name == "stream.sever";
             // Severs are rare tail events; only they pay for a note copy.
             let incident_note = severed.then(|| s.note.clone());
-            self.telemetry
-                .shard_metrics_mut(shard_idx)
-                .observe(s.name, elapsed);
+            self.telemetry.metrics_mut().observe(s.name, elapsed);
             let recorded = self.telemetry.span(NewSpan {
                 name: s.name,
                 ticket: s.ticket,
@@ -1057,7 +1057,6 @@ impl GuillotineFleet {
             self.crash_since[index] = Some(at);
         }
         if self.telemetry.is_enabled() {
-            self.telemetry.metrics_mut().incr("fleet.shard_crashes");
             self.telemetry.recorder_mut().incident(
                 IncidentKind::ShardCrash,
                 at,
@@ -1349,7 +1348,8 @@ impl GuillotineFleet {
     }
 
     /// Moves one shard's responses into their submission-order output slots,
-    /// recording each outcome in the shard's histogram on the way through.
+    /// recording each outcome in the shard's [`OutcomeHistogram`] on the way
+    /// through.
     ///
     /// It also witnesses the re-home penalty: every re-homed response
     /// whose request actually performed a KV lookup (there is a tier, and
@@ -1376,13 +1376,7 @@ impl GuillotineFleet {
                 }
             }
             if traced {
-                let metrics = self.telemetry.shard_metrics_mut(shard_idx);
-                metrics.incr(match response.outcome {
-                    ServeOutcomeKind::Delivered => "outcome.delivered",
-                    ServeOutcomeKind::Sanitized => "outcome.sanitized",
-                    ServeOutcomeKind::Refused => "outcome.refused",
-                    ServeOutcomeKind::Escalated => "outcome.escalated",
-                });
+                let metrics = self.telemetry.metrics_mut();
                 metrics.observe("serve.inference", response.latency.inference.as_nanos());
                 if response.latency.time_to_first_token > SimDuration::ZERO {
                     metrics.observe(
@@ -1678,18 +1672,18 @@ impl GuillotineFleet {
         }
     }
 
-    /// Per-stage percentiles from the fleet-merged telemetry histograms
-    /// (empty with telemetry off).
+    /// Per-stage percentiles from the telemetry histograms (empty with
+    /// telemetry off).
     fn stage_latencies(&self) -> Vec<StageLatency> {
         if !self.telemetry.is_enabled() {
             return Vec::new();
         }
-        let merged = self.telemetry.merged_metrics();
-        merged
+        let metrics = self.telemetry.metrics();
+        metrics
             .histogram_names()
             .iter()
             .filter_map(|name| {
-                let h = merged.histogram_view(name)?;
+                let h = metrics.histogram_view(name)?;
                 Some(StageLatency {
                     stage: (*name).to_string(),
                     count: h.count(),

@@ -70,7 +70,6 @@ pub struct AnomalyDetector {
     /// Minimum baseline samples before deviations are acted on.
     warmup: u64,
     inspected: u64,
-    flagged: u64,
 }
 
 impl Default for AnomalyDetector {
@@ -89,24 +88,12 @@ impl AnomalyDetector {
             z_threshold: 4.0,
             warmup: 10,
             inspected: 0,
-            flagged: 0,
         }
-    }
-
-    /// Overrides the z-score threshold and warmup length.
-    pub fn set_sensitivity(&mut self, z_threshold: f64, warmup: u64) {
-        self.z_threshold = z_threshold.max(0.5);
-        self.warmup = warmup;
     }
 
     /// Number of windows inspected.
     pub fn inspected(&self) -> u64 {
         self.inspected
-    }
-
-    /// Number of windows flagged.
-    pub fn flagged_count(&self) -> u64 {
-        self.flagged
     }
 
     fn evaluate(&mut self, stats: &SystemStats) -> (f64, Vec<String>) {
@@ -164,7 +151,6 @@ impl Detector for AnomalyDetector {
         if reasons.is_empty() {
             Verdict::clean(self.name())
         } else {
-            self.flagged += 1;
             let action = if score >= 0.9 {
                 RecommendedAction::Sever
             } else if score >= 0.5 {

@@ -152,7 +152,6 @@ pub struct InputShield {
     flag_threshold: f64,
     sever_threshold: f64,
     inspected: u64,
-    flagged: u64,
 }
 
 impl Default for InputShield {
@@ -181,7 +180,6 @@ impl InputShield {
             flag_threshold: 0.5,
             sever_threshold: 0.9,
             inspected: 0,
-            flagged: 0,
         }
     }
 
@@ -229,11 +227,6 @@ impl InputShield {
     /// Number of prompts inspected.
     pub fn inspected(&self) -> u64 {
         self.inspected
-    }
-
-    /// Number of prompts flagged.
-    pub fn flagged_count(&self) -> u64 {
-        self.flagged
     }
 
     /// The installed rules, in registration order.
@@ -308,7 +301,6 @@ impl Detector for InputShield {
         self.inspected += 1;
         let scan = self.scan(text);
         if scan.score >= self.flag_threshold {
-            self.flagged += 1;
             let action = if scan.score >= self.sever_threshold {
                 RecommendedAction::Sever
             } else {

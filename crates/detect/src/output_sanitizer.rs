@@ -110,7 +110,6 @@ pub struct OutputSanitizer {
     compiled: Arc<CompiledCategories>,
     redaction: String,
     inspected: u64,
-    sanitized: u64,
 }
 
 impl Default for OutputSanitizer {
@@ -137,7 +136,6 @@ impl OutputSanitizer {
             compiled,
             redaction: OutputSanitizer::REDACTION.into(),
             inspected: 0,
-            sanitized: 0,
         }
     }
 
@@ -215,11 +213,6 @@ impl OutputSanitizer {
     /// Number of responses inspected.
     pub fn inspected(&self) -> u64 {
         self.inspected
-    }
-
-    /// Number of responses that required sanitization.
-    pub fn sanitized_count(&self) -> u64 {
-        self.sanitized
     }
 
     /// Sanitizes `text`, returning the clean text, the matched categories and
@@ -300,7 +293,6 @@ impl Detector for OutputSanitizer {
         if matched.is_empty() {
             Verdict::clean(self.name())
         } else {
-            self.sanitized += 1;
             let action = if severity >= 0.9 {
                 RecommendedAction::Restrict
             } else {

@@ -75,11 +75,6 @@ impl JournalStore {
         &self.wal
     }
 
-    /// Number of snapshots taken (including corrupt ones).
-    pub fn snapshot_count(&self) -> usize {
-        self.snapshots.len()
-    }
-
     /// Persists one snapshot at the end of the chain.
     pub fn take_snapshot(&mut self, data: &SnapshotData) {
         self.snapshots.push(data.encode());

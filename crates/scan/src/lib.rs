@@ -322,22 +322,13 @@ impl Matcher {
         self.max_len
     }
 
-    /// The compiled form of pattern `id`, or `None` past the end.
+    /// Iterates every compiled pattern in id order.
     ///
     /// This is the introspection surface the `guillotine-audit` configuration
     /// analyzer reasons over: the *folded* bytes are what the automaton
     /// matches, so subsumption ("every occurrence of P contains Q") and
     /// duplicate detection must be decided on these, not on the source
     /// spellings callers registered.
-    pub fn pattern_info(&self, id: usize) -> Option<PatternInfo<'_>> {
-        self.patterns.get(id).map(|meta| PatternInfo {
-            id,
-            folded: &meta.folded,
-            word_bounded: meta.word_bounded,
-        })
-    }
-
-    /// Iterates every compiled pattern in id order.
     pub fn patterns(&self) -> impl Iterator<Item = PatternInfo<'_>> {
         self.patterns
             .iter()

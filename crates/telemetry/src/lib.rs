@@ -6,8 +6,10 @@
 //!   [`TicketId`](guillotine_types::TicketId) across admission, routing,
 //!   per-shard serve stages, streaming chunk rounds and recovery actions.
 //! - [`MetricsRegistry`] — hierarchically named counters/gauges/histograms,
-//!   recorded per shard and merged fleet-wide, serialized to a stable
-//!   `METRICS.json` and a Prometheus-style text form.
+//!   one per fleet, serialized to a stable `METRICS.json` and a
+//!   Prometheus-style text form. It records only what has no typed twin
+//!   (stage latencies, batch and settle counts); the front door's exporter
+//!   adds every other counter from the fleet's typed statistics.
 //! - [`FlightRecorder`] — a bounded ring of recent spans with head
 //!   sampling, dumped on tail events (escalation, sever, crash, deadline
 //!   miss) with chaos fault ids and WAL offsets for cross-reference.
@@ -56,13 +58,12 @@ impl TelemetryConfig {
     }
 }
 
-/// The facade the fleet owns: tracer + registries + flight recorder.
+/// The facade the fleet owns: tracer + registry + flight recorder.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     config: TelemetryConfig,
     tracer: Tracer,
-    fleet_metrics: MetricsRegistry,
-    shard_metrics: Vec<MetricsRegistry>,
+    metrics: MetricsRegistry,
     recorder: FlightRecorder,
 }
 
@@ -83,8 +84,7 @@ impl Telemetry {
             } else {
                 Tracer::disabled()
             },
-            fleet_metrics: MetricsRegistry::new(),
-            shard_metrics: Vec::new(),
+            metrics: MetricsRegistry::new(),
             recorder,
         }
     }
@@ -116,44 +116,15 @@ impl Telemetry {
         &self.tracer
     }
 
-    /// The fleet-level metrics registry (admission, routing, recovery).
+    /// The fleet's metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.fleet_metrics
+        &self.metrics
     }
 
-    /// Mutable fleet-level registry; no-op-friendly callers should gate on
+    /// Mutable registry; no-op-friendly callers should gate on
     /// [`Telemetry::is_enabled`] before doing expensive label formatting.
     pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.fleet_metrics
-    }
-
-    /// Mutable per-shard registry, growing the table on first use.
-    pub fn shard_metrics_mut(&mut self, shard: usize) -> &mut MetricsRegistry {
-        if shard >= self.shard_metrics.len() {
-            self.shard_metrics
-                .resize_with(shard + 1, MetricsRegistry::new);
-        }
-        &mut self.shard_metrics[shard]
-    }
-
-    /// Read view of a shard's registry, if it ever recorded.
-    pub fn shard_metrics(&self, shard: usize) -> Option<&MetricsRegistry> {
-        self.shard_metrics.get(shard)
-    }
-
-    /// Number of shards with a registry.
-    pub fn shard_count(&self) -> usize {
-        self.shard_metrics.len()
-    }
-
-    /// The fleet-wide view: fleet-level metrics merged with every shard's
-    /// registry (counters/histogram buckets add, gauges peak).
-    pub fn merged_metrics(&self) -> MetricsRegistry {
-        let mut merged = self.fleet_metrics.clone();
-        for shard in &self.shard_metrics {
-            merged.merge(shard);
-        }
-        merged
+        &mut self.metrics
     }
 
     /// The flight recorder, for incident queries and dumps.
@@ -198,21 +169,5 @@ mod tests {
         assert!(root.is_some());
         assert_eq!(t.tracer().len(), 1);
         assert_eq!(t.recorder().ring_len(), 1);
-    }
-
-    #[test]
-    fn merged_metrics_fold_fleet_and_shards() {
-        let mut t = Telemetry::new(TelemetryConfig::full());
-        t.metrics_mut().incr("fleet.batches");
-        t.shard_metrics_mut(0).observe("serve.decode_ns", 100);
-        t.shard_metrics_mut(2).observe("serve.decode_ns", 300);
-        assert_eq!(t.shard_count(), 3);
-        assert!(t.shard_metrics(1).is_some_and(MetricsRegistry::is_empty));
-        let merged = t.merged_metrics();
-        assert_eq!(merged.counter_value("fleet.batches"), 1);
-        assert_eq!(
-            merged.histogram_view("serve.decode_ns").map(|h| h.count()),
-            Some(2)
-        );
     }
 }

@@ -1,4 +1,4 @@
-//! Hierarchically named metrics, recorded per shard and merged fleet-wide.
+//! Hierarchically named metrics, one registry per fleet.
 //!
 //! Names are dot-separated paths (`serve.decode_ns`, `admission.shed`);
 //! the registry stores them in sorted maps so the serialized forms —
@@ -93,25 +93,6 @@ impl MetricsRegistry {
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Folds another registry into this one: counters and histogram buckets
-    /// add; gauges keep the maximum of currents and of high-water marks
-    /// (the fleet-wide level of a per-shard level gauge is its peak, which
-    /// is the convention the merge-equals-fleet proptest pins).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, c) in &other.counters {
-            self.counter(name).add(c.get());
-        }
-        for (name, g) in &other.gauges {
-            let mine = self.gauge(name);
-            let current = mine.current().max(g.current());
-            mine.set(g.high_water().max(mine.high_water()));
-            mine.set(current);
-        }
-        for (name, h) in &other.histograms {
-            self.histogram(name).merge(h);
-        }
     }
 
     /// Serializes the registry as stable, pretty-printed JSON — the
@@ -234,27 +215,6 @@ mod tests {
             Some(1)
         );
         assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn merge_adds_counters_and_histograms_and_peaks_gauges() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        a.add("x", 2);
-        b.add("x", 3);
-        b.incr("only_b");
-        a.gauge("depth").set(7);
-        a.gauge("depth").set(1);
-        b.gauge("depth").set(4);
-        a.observe("lat", 100);
-        b.observe("lat", 200);
-        a.merge(&b);
-        assert_eq!(a.counter_value("x"), 5);
-        assert_eq!(a.counter_value("only_b"), 1);
-        let depth = a.gauge("depth");
-        assert_eq!(depth.current(), 4);
-        assert_eq!(depth.high_water(), 7);
-        assert_eq!(a.histogram_view("lat").map(Histogram::count), Some(2));
     }
 
     #[test]

@@ -1,15 +1,11 @@
-//! Golden-schema test pinning the `METRICS.json` byte format, plus the
-//! merge-equals-fleet property.
+//! Golden-schema test pinning the `METRICS.json` byte format.
 //!
 //! CI archives `METRICS_e21.json` and downstream tooling diffs metrics
 //! across runs, so a silent field rename or formatting change would break
 //! trajectory comparisons. The golden asserts the rendered bytes exactly;
 //! changing the schema must be a deliberate act that updates this test.
-//! The proptest pins the aggregation contract: recording per shard and
-//! merging must be indistinguishable from recording fleet-wide.
 
-use guillotine_telemetry::{MetricsRegistry, Telemetry, TelemetryConfig};
-use proptest::prelude::*;
+use guillotine_telemetry::MetricsRegistry;
 
 fn sample_registry() -> MetricsRegistry {
     let mut r = MetricsRegistry::new();
@@ -93,32 +89,4 @@ fn prometheus_exposition_is_pinned() {
         "serve_prefill_count 2\n",
     );
     assert_eq!(sample_registry().to_prometheus(), golden);
-}
-
-proptest! {
-    /// Recording each sample on its own shard's registry and merging must
-    /// yield exactly the fleet-wide registry fed every sample directly —
-    /// the contract that makes per-shard collection transparent.
-    #[test]
-    fn per_shard_merge_equals_fleet_wide(
-        samples in proptest::collection::vec((0usize..4, 0u64..1_000_000), 0..200),
-        counts in proptest::collection::vec((0usize..4, 1u64..50), 0..50),
-    ) {
-        let mut telemetry = Telemetry::new(TelemetryConfig::full());
-        let mut fleet_wide = MetricsRegistry::new();
-        for &(shard, value) in &samples {
-            telemetry.shard_metrics_mut(shard).observe("serve.latency", value);
-            fleet_wide.observe("serve.latency", value);
-        }
-        for &(shard, n) in &counts {
-            telemetry.shard_metrics_mut(shard).add("outcome.delivered", n);
-            fleet_wide.add("outcome.delivered", n);
-        }
-        let merged = telemetry.merged_metrics();
-        prop_assert_eq!(merged.to_json(), fleet_wide.to_json());
-        prop_assert_eq!(
-            merged.histogram_view("serve.latency").map(|h| h.quantile(0.95)),
-            fleet_wide.histogram_view("serve.latency").map(|h| h.quantile(0.95))
-        );
-    }
 }

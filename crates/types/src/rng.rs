@@ -21,7 +21,6 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct DetRng {
     inner: StdRng,
-    seed: u64,
 }
 
 impl DetRng {
@@ -29,13 +28,7 @@ impl DetRng {
     pub fn seed(seed: u64) -> Self {
         DetRng {
             inner: StdRng::seed_from_u64(seed),
-            seed,
         }
-    }
-
-    /// Returns the seed this generator was created with.
-    pub fn initial_seed(&self) -> u64 {
-        self.seed
     }
 
     /// Derives an independent child generator; useful for giving each

@@ -10,6 +10,7 @@ use guillotine::fleet::GuillotineFleet;
 use guillotine::serve::{ServePriority, ServeRequest, ServeResponse};
 use guillotine::{
     AdmissionDecision, ArrivalGen, ArrivalProcess, DeadlinePolicy, FifoWavePolicy, ShedPolicy,
+    TelemetryConfig,
 };
 use guillotine_admit::AdmissionController;
 use guillotine_types::{SessionId, SimDuration, SimInstant};
@@ -91,7 +92,8 @@ fn shed_overload_keeps_the_urgent_work() {
             default_deadline: None,
         },
         Box::new(FifoWavePolicy { wave: 1024 }),
-    );
+    )
+    .with_telemetry(TelemetryConfig::full());
     // Fill with bulk traffic, then hit the full queue with interactive
     // requests: every interactive arrival must displace a bulk victim.
     for i in 0..3 {
@@ -110,6 +112,12 @@ fn shed_overload_keeps_the_urgent_work() {
             "interactive arrival {i} should displace a bulk victim, got {decision:?}"
         );
     }
+    // The queue now holds only interactive work: a bulk newcomer is the
+    // weakest request in sight, so the door sheds the newcomer itself.
+    assert!(matches!(
+        door.submit(benign(6, 6, 0, 1)),
+        AdmissionDecision::Shed { admitted: None, .. }
+    ));
     let responses = door.drain().unwrap();
     assert_eq!(responses.len(), 3);
     let mut sessions: Vec<u32> = responses.iter().map(|r| r.session.raw()).collect();
@@ -119,7 +127,22 @@ fn shed_overload_keeps_the_urgent_work() {
         vec![3, 4, 5],
         "only the interactive traffic survives"
     );
-    assert_eq!(door.admission_stats().shed, 3);
+    let stats = door.admission_stats();
+    assert_eq!(stats.shed, 4);
+    // The exported counters are the typed fields, not a second count.
+    let metrics = door.metrics();
+    for (name, typed) in [
+        ("admission.enqueued", stats.enqueued),
+        ("admission.shed", stats.shed),
+        ("admission.refused", stats.refused),
+        ("slo.deadline_missed", stats.deadlines_missed),
+    ] {
+        assert_eq!(metrics.counter_value(name), typed, "{name}");
+    }
+    assert_eq!(
+        metrics.histogram_view("admission.queue_wait"),
+        Some(&stats.wait_hist)
+    );
 }
 
 #[test]

@@ -183,8 +183,9 @@ fn hedging_beats_a_slowed_shard() {
     assert_eq!(stats.recovery.duplicates_suppressed, stats.recovery.hedges);
     assert_eq!(stats.recovery.double_serves, 0);
     // A hedge is served through the fleet's one dispatch path, so its
-    // outcome is counted once in `FleetStats` and once in the registry.
-    let merged = door.fleet().telemetry().merged_metrics();
+    // outcome is counted once, in `FleetStats`, which the exported
+    // `outcome.*` counters read.
+    let metrics = door.metrics();
     let counted: u64 = [
         "outcome.delivered",
         "outcome.sanitized",
@@ -192,9 +193,13 @@ fn hedging_beats_a_slowed_shard() {
         "outcome.escalated",
     ]
     .iter()
-    .map(|name| merged.counter_value(name))
+    .map(|name| metrics.counter_value(name))
     .sum();
     assert_eq!(stats.outcomes().total(), counted);
+    assert_eq!(
+        metrics.counter_value("recovery.hedges"),
+        stats.recovery.hedges
+    );
 }
 
 /// The graceful-degradation ladder: losing half the fleet sheds
@@ -202,7 +207,7 @@ fn hedging_beats_a_slowed_shard() {
 /// everything fails closed.
 #[test]
 fn degradation_ladder_sheds_low_priority_then_fails_closed() {
-    let mut door = door_with(2, RecoveryConfig::default());
+    let mut door = door_with(2, RecoveryConfig::default()).with_telemetry(TelemetryConfig::full());
     assert_eq!(door.degradation_mode(), DegradationMode::Normal);
     door.fleet_mut().inject_crash(0);
     // Half the fleet is gone: batch-class arrivals are refused...
@@ -225,6 +230,22 @@ fn degradation_ladder_sheds_low_priority_then_fails_closed() {
     let stats = door.stats();
     assert_eq!(stats.recovery.ladder_shed, 2);
     assert!(stats.recovery.degraded_time() > SimDuration::ZERO);
+    // Ladder refusals are `recovery.ladder_shed`, not queue refusals: the
+    // exported counters are the typed fields, not a second count.
+    let admission = stats.admission.clone().unwrap_or_default();
+    let outcomes = stats.outcomes();
+    let metrics = door.metrics();
+    for (name, typed) in [
+        ("admission.enqueued", admission.enqueued),
+        ("admission.refused", admission.refused),
+        ("admission.shed", admission.shed),
+        ("recovery.ladder_shed", stats.recovery.ladder_shed),
+        ("fleet.shard_crashes", stats.recovery.crashes),
+        ("outcome.delivered", outcomes.delivered),
+        ("outcome.refused", outcomes.refused),
+    ] {
+        assert_eq!(metrics.counter_value(name), typed, "{name}");
+    }
 }
 
 /// A console partition drives the shard offline through its own watchdog

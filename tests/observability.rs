@@ -118,9 +118,11 @@ fn stage_latency_percentiles_reach_the_report() {
     }
     let rendered = d.report().render();
     assert!(rendered.contains("Stage latency"), "{rendered}");
-    // The metrics artifact serializes and round-trips the same view.
-    let json = d.fleet().telemetry().merged_metrics().to_json();
+    // The metrics artifact serializes and round-trips the same view, with
+    // every typed counter present even when this run never bumped it.
+    let json = d.metrics().to_json();
     assert!(json.contains("\"serve.prefill\""));
+    assert!(json.contains("\"recovery.timeouts\": 0"), "{json}");
     assert!(json.contains("guillotine-metrics-v1"));
 }
 
