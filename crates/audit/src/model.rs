@@ -68,9 +68,11 @@ const MAX_QUEUE: usize = 2;
 ///   is committed to the WAL before its ack, so a control-plane crash
 ///   recovery must re-queue all of it — never lose acked work)
 /// * `no-double-serve-across-recovery` — the journal's Complete records
-///   plus ticket idempotency (a completion is committed before its response
-///   is released, so replay must never re-release an already-completed
-///   response after a crash)
+///   plus the settled floor and sparse set of `FrontDoor`'s ticket
+///   idempotency and `guillotine_journal::rebuild` (a completion is
+///   committed before its response is released, so replay must re-queue
+///   only work above the watermark and never re-release an
+///   already-completed response after a crash)
 pub const INVARIANTS: [&str; 10] = [
     "fail-closed-when-fully-quarantined",
     "no-serve-from-quarantined-shard",
@@ -122,6 +124,10 @@ pub enum ModelFault {
     /// Control-plane crash recovery replays completed records too: a
     /// response already released to its caller is released again.
     ReplayCompletedOnRecovery,
+    /// Control-plane crash recovery compares against the watermark off by
+    /// one: it re-queues `seq >= delivered` instead of `seq > delivered`,
+    /// so the last completed request of each session is released again.
+    OffByOneWatermark,
 }
 
 /// Per-stream lifecycle in the abstract model.
@@ -494,28 +500,36 @@ fn apply(state: &State, action: Action, fault: ModelFault) -> Option<Step> {
             next.partitioned = false;
         }
         Action::ControlCrash => {
-            // Everything in flight at the door is volatile: the acked-but
-            // -uncompleted entries (by each session's delivered watermark)
-            // are what recovery owes the callers.
-            let outstanding: Vec<(u8, u8)> = state
+            // Everything in flight at the door is volatile. Recovery owes
+            // the callers the acked-but-uncompleted entries: those above
+            // each session's delivered watermark.
+            let delivered = |session: u8| state.sessions[session as usize].delivered;
+            let owed = |&(session, seq): &(u8, u8)| seq > delivered(session);
+            let requeued: Vec<(u8, u8)> = state
                 .wal
                 .iter()
                 .copied()
-                .filter(|&(session, seq)| seq > state.sessions[session as usize].delivered)
+                .filter(|entry| match fault {
+                    // The bug: recovery forgets the WAL and comes back with
+                    // empty queues.
+                    ModelFault::LoseAckedOnRecovery => false,
+                    // The bug: replay walks the whole log.
+                    ModelFault::ReplayCompletedOnRecovery => true,
+                    ModelFault::OffByOneWatermark => entry.1 >= delivered(entry.0),
+                    _ => owed(entry),
+                })
                 .collect();
-            if fault == ModelFault::LoseAckedOnRecovery && !outstanding.is_empty() {
-                // The bug: recovery comes back with empty queues while the
-                // WAL still owes acked work.
+            if state
+                .wal
+                .iter()
+                .any(|entry| owed(entry) && !requeued.contains(entry))
+            {
                 return Some(Step::Violation(INVARIANTS[8]));
             }
-            if fault == ModelFault::ReplayCompletedOnRecovery
-                && state
-                    .wal
-                    .iter()
-                    .any(|&(session, seq)| seq <= state.sessions[session as usize].delivered)
-            {
-                // The bug: replay walks the whole log and re-releases a
-                // response some caller already received.
+            if !requeued.iter().all(owed) {
+                // Replay re-queued a request at or below its session's
+                // watermark: a response some caller already received would
+                // be released again.
                 return Some(Step::Violation(INVARIANTS[9]));
             }
             for shard in next.shards.iter_mut() {
@@ -525,7 +539,7 @@ fn apply(state: &State, action: Action, fault: ModelFault) -> Option<Step> {
             // order through the current routing; under total quarantine
             // the entry stays stranded on its home shard (dispatch is
             // blocked there anyway), exactly like the quarantine re-home.
-            for (session, seq) in outstanding {
+            for (session, seq) in requeued {
                 match next.route(session) {
                     Some(target) => next.shards[target].queue.push((session, seq)),
                     None => {

@@ -153,6 +153,23 @@ fn replaying_completed_work_across_recovery_is_caught() {
     );
 }
 
+/// The watermark mutant: crash replay compares `seq >= delivered` instead
+/// of `seq > delivered`, so it re-queues each session's last completed
+/// request. This re-proves the invariant over the watermark abstraction the
+/// door's settled floor implements; the minimal witness again needs a
+/// completion on record: submit → dispatch → crash.
+#[test]
+fn off_by_one_watermark_across_recovery_is_caught() {
+    let counterexample = expect_counterexample(
+        ModelFault::OffByOneWatermark,
+        "no-double-serve-across-recovery",
+    );
+    let trace = counterexample.trace.join("\n");
+    assert!(trace.contains("Dispatch"), "{counterexample}");
+    assert!(trace.contains("ControlPlaneCrash"), "{counterexample}");
+    assert_eq!(counterexample.trace.len(), 3, "{counterexample}");
+}
+
 /// Counterexamples render as numbered, human-readable traces — that is the
 /// debugging artifact the audit gate prints on a red build.
 #[test]

@@ -126,6 +126,8 @@ struct Outcome {
     double_serves: u64,
     session_reorderings: u64,
     replay_downtime: SimDuration,
+    /// Bytes of the newest snapshot in the chain (0 without one).
+    snapshot_bytes_last: u64,
     wal_dump: Option<String>,
     snapshot_dump: Option<String>,
 }
@@ -147,6 +149,7 @@ fn run(journal: Option<JournalConfig>) -> Outcome {
     let (door, _trace) = chaos.into_parts();
     let stats = door.stats();
     let recovery = &stats.recovery;
+    let snapshot_dump = door.journal_store().map(|store| store.dump_snapshots());
     Outcome {
         admitted: decisions.iter().filter(|d| d.admitted()).count() as u64,
         answered: responses.len() as u64,
@@ -160,8 +163,12 @@ fn run(journal: Option<JournalConfig>) -> Outcome {
         double_serves: recovery.double_serves,
         session_reorderings: recovery.session_reorderings,
         replay_downtime: recovery.replay_time,
+        snapshot_bytes_last: snapshot_dump
+            .as_deref()
+            .and_then(|dump| dump.rsplit(" ---\n").next())
+            .map_or(0, |blob| blob.trim_end().len() as u64),
         wal_dump: door.journal_store().map(|store| store.dump_wal()),
-        snapshot_dump: door.journal_store().map(|store| store.dump_snapshots()),
+        snapshot_dump,
     }
 }
 
@@ -249,13 +256,14 @@ fn bench(c: &mut Criterion) {
     println!(
         "e20: {requests} bursty arrivals / {SHARDS} shards under durability plan {SEED:#x} -> \
          journal+fine {:.1}% available ({} replayed, {} re-queued, {} torn truncated, \
-         {} snapshots skipped, downtime {})",
+         {} snapshots skipped, downtime {}, last snapshot {} B)",
         fine.availability() * 100.0,
         fine.wal_replayed,
         fine.requeued,
         fine.torn_truncated,
         fine.snapshots_skipped,
         fine.replay_downtime,
+        fine.snapshot_bytes_last,
     );
     println!(
         "e20: coarse {:.1}% ({} replayed, downtime {}), unsnapshotted {:.1}% \
@@ -308,15 +316,18 @@ fn bench(c: &mut Criterion) {
         .metric("journal_requeued", fine.requeued as f64)
         .metric("torn_truncated", fine.torn_truncated as f64)
         .metric("snapshots_skipped", fine.snapshots_skipped as f64)
+        .metric("snapshot_bytes_last", fine.snapshot_bytes_last as f64)
         .bar(
             "availability_journal_vs_amnesia",
             fine.availability(),
             amnesia.availability(),
         )
+        // The assert above is `fine < unsnapshotted`; recorded as the
+        // bar's `>=`, that is `unsnapshotted >= fine + 1`.
         .bar(
             "replay_bounded_by_suffix",
-            fine.wal_replayed as f64,
             unsnapshotted.wal_replayed as f64,
+            fine.wal_replayed as f64 + 1.0,
         )
         .bar(
             "no_acked_loss",

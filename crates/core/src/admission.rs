@@ -124,6 +124,31 @@ struct JournalState {
     last_snapshot: SimInstant,
 }
 
+/// Ticket idempotency as a low watermark plus a sparse set above it, the
+/// way Raft dedups client sessions and TCP pairs a cumulative ACK with
+/// SACK. Tickets are minted monotonically, so once the floor is raised to
+/// the oldest queued ticket, every ticket below it is settled or gone.
+#[derive(Debug, Default)]
+struct SettledTickets {
+    floor: u32,
+    /// Settled tickets at or above `floor`.
+    above: HashSet<u32>,
+}
+
+impl SettledTickets {
+    /// Records one settlement. False means the ticket had settled already:
+    /// it sits below the floor, or it settled before at or above it.
+    fn settle(&mut self, ticket: u32) -> bool {
+        ticket >= self.floor && self.above.insert(ticket)
+    }
+
+    /// Raises the floor and forgets the settled tickets below it.
+    fn raise(&mut self, floor: u32) {
+        self.floor = floor;
+        self.above.retain(|&ticket| ticket >= floor);
+    }
+}
+
 /// A [`GuillotineFleet`] behind an admission queue and batch former.
 pub struct FrontDoor {
     fleet: GuillotineFleet,
@@ -151,11 +176,13 @@ pub struct FrontDoor {
     recovery_rng: DetRng,
     /// Tickets that have completed, by raw id — the idempotency layer: a
     /// ticket can complete toward the caller at most once, however many
-    /// retries and hedges raced for it.
-    completed_tickets: HashSet<u32>,
-    /// Per-session arrival stamp of the most recently delivered response —
-    /// the session-order witness. Recovery must never let a later arrival
-    /// overtake an earlier one within a session.
+    /// retries and hedges raced for it. Pruned at every quiescent boundary
+    /// (see [`FrontDoor::prune_settled`]), so it holds live state only.
+    settled: SettledTickets,
+    /// Per-session arrival stamp of the most recently delivered response,
+    /// kept for sessions with queued work — the session-order witness.
+    /// Recovery must never let a later arrival overtake an earlier one
+    /// within a session.
     session_progress: HashMap<u32, SimInstant>,
     /// Where the door currently sits on the degradation ladder.
     mode: DegradationMode,
@@ -196,7 +223,7 @@ impl FrontDoor {
             ttft_deadlines: false,
             recovery,
             recovery_rng: DetRng::seed(recovery.seed),
-            completed_tickets: HashSet::new(),
+            settled: SettledTickets::default(),
             session_progress: HashMap::new(),
             mode: DegradationMode::Normal,
             mode_since,
@@ -544,8 +571,10 @@ impl FrontDoor {
         // Pump boundary: a due control-plane crash lands here, between
         // batches. The moment before the former runs is also the quiescent
         // point — no batch in flight, the queue alone holds every
-        // acked-uncompleted request — so it is where snapshots are taken.
+        // acked-uncompleted request — so it is where settled state is
+        // pruned and snapshots are taken.
         self.fire_due_control_crash();
+        self.prune_settled();
         self.maybe_snapshot();
         let batch = self.controller.form(self.fleet.clock.now())?;
         Some(self.serve(batch))
@@ -557,9 +586,11 @@ impl FrontDoor {
     pub fn drain(&mut self) -> Result<Vec<ServeResponse>> {
         let mut responses = Vec::new();
         loop {
-            // Same boundary duties as `step`: crashes land and snapshots
-            // are taken between batches, never inside one.
+            // Same boundary duties as `step`: crashes land, settled state is
+            // pruned and snapshots are taken between batches, never inside
+            // one.
             self.fire_due_control_crash();
+            self.prune_settled();
             self.maybe_snapshot();
             let Some(batch) = self.controller.flush(self.fleet.clock.now()) else {
                 break;
@@ -764,29 +795,52 @@ impl FrontDoor {
                 completed
             };
             self.controller.record_served(stamp, achieved);
-            // Ticket idempotency: a ticket completes toward the caller at
-            // most once. The insert returning false would mean a second
-            // completion slipped through — counted, asserted zero by the
-            // e19 bench and the chaos proptests.
-            if !self.completed_tickets.insert(stamp.ticket.raw()) {
-                self.fleet.recovery_mut().double_serves += 1;
-            }
-            // Session-order witness: within a session, delivery order must
-            // follow arrival order, whatever re-queueing and hedging did.
-            let session = response.session.raw();
-            match self.session_progress.get(&session) {
-                Some(&last) if stamp.arrival < last => {
-                    self.fleet.recovery_mut().session_reorderings += 1;
-                }
-                _ => {
-                    self.session_progress.insert(session, stamp.arrival);
-                }
-            }
+            self.witness_settle(stamp);
             self.journal_complete(stamp, &response);
             self.telemetry_settle(stamp, *dispatched, completed, achieved, response.outcome);
             responses.push(response);
         }
         responses
+    }
+
+    /// Runs the safety witnesses on one settlement, counted and asserted
+    /// zero by the e19 bench and the chaos proptests.
+    fn witness_settle(&mut self, stamp: &EntryStamp) {
+        // Ticket idempotency: a ticket completes toward the caller at most
+        // once. A settle below the floor or a second one above it means a
+        // second completion slipped through.
+        if !self.settled.settle(stamp.ticket.raw()) {
+            self.fleet.recovery_mut().double_serves += 1;
+        }
+        // Session-order witness: within a session, delivery order must
+        // follow arrival order, whatever re-queueing and hedging did.
+        let session = stamp.session.raw();
+        match self.session_progress.get(&session) {
+            Some(&last) if stamp.arrival < last => {
+                self.fleet.recovery_mut().session_reorderings += 1;
+            }
+            _ => {
+                self.session_progress.insert(session, stamp.arrival);
+            }
+        }
+    }
+
+    /// Prunes the witnesses' state at a quiescent boundary (no batch in
+    /// flight), so it scales with live state, not history. The settled
+    /// floor rises to the oldest queued ticket (`next_ticket` when the
+    /// queue is empty), and the order witness forgets every session with
+    /// nothing queued: no older request of such a session is live.
+    fn prune_settled(&mut self) {
+        let mut floor = self.controller.next_ticket_raw();
+        let mut sessions = Vec::with_capacity(self.controller.depth());
+        for (stamp, _) in self.controller.entries() {
+            floor = floor.min(stamp.ticket.raw());
+            sessions.push(stamp.session.raw());
+        }
+        self.settled.raise(floor);
+        sessions.sort_unstable();
+        self.session_progress
+            .retain(|session, _| sessions.binary_search(session).is_ok());
     }
 
     /// Re-dispatches straggling responses: past the serve timeout the
@@ -954,6 +1008,7 @@ impl FrontDoor {
     }
 
     /// Unconditionally snapshots the control plane (quiescent call sites
+    /// only, after [`FrontDoor::prune_settled`], so it holds live state
     /// only). Sets and completion maps are sorted before encoding so the
     /// snapshot bytes are deterministic across runs.
     fn snapshot_now(&mut self) {
@@ -963,7 +1018,7 @@ impl FrontDoor {
             .entries()
             .map(|(stamp, payload)| (*stamp, payload.to_wire()))
             .collect();
-        let mut completed: Vec<u32> = self.completed_tickets.iter().copied().collect();
+        let mut completed: Vec<u32> = self.settled.above.iter().copied().collect();
         completed.sort_unstable();
         let mut progress: Vec<(u32, u64)> = self
             .session_progress
@@ -1020,7 +1075,7 @@ impl FrontDoor {
             );
         }
         let queued_before = self.controller.depth() as u64;
-        self.completed_tickets.clear();
+        self.settled = SettledTickets::default();
         self.session_progress.clear();
         self.queued_placements.clear();
         for slot in self.queued_by_shard.iter_mut() {
@@ -1071,7 +1126,10 @@ impl FrontDoor {
                 summary.replay_time = recovered.replay_cost;
                 self.controller
                     .restore(entries, replay.next_ticket, replay.stats);
-                self.completed_tickets = replay.completed.iter().copied().collect();
+                self.settled = SettledTickets {
+                    floor: replay.floor,
+                    above: replay.completed.iter().copied().collect(),
+                };
                 self.session_progress = replay
                     .progress
                     .iter()
@@ -1108,6 +1166,12 @@ impl FrontDoor {
                 }
             }
         }
+        // The end of recovery is a quiescent boundary too. A full WAL replay
+        // may have settled every ticket ever served: prune, and give the
+        // capacity back.
+        self.prune_settled();
+        self.settled.above.shrink_to_fit();
+        self.session_progress.shrink_to_fit();
         // Rebuild the queued-load projection for LeastLoaded routing from
         // the restored queue.
         let tickets: Vec<TicketId> = self
@@ -1538,5 +1602,47 @@ mod tests {
         let rendered = d.report().render();
         assert!(rendered.contains("admission queue"));
         assert!(rendered.contains("deadlines"));
+    }
+
+    #[test]
+    fn settles_below_the_floor_still_count_as_double_serves() {
+        let mut d = door(16, ShedPolicy::FailClosed);
+        let mut stamps = Vec::new();
+        for i in 0..6 {
+            let AdmissionDecision::Enqueued { ticket, .. } = d.submit(benign(i)) else {
+                panic!("queue has room");
+            };
+            stamps.push(EntryStamp {
+                ticket,
+                session: SessionId::new(i),
+                class: ServePriority::Normal.class(),
+                arrival: SimInstant::ZERO,
+                deadline: None,
+            });
+        }
+        assert_eq!(d.drain().unwrap().len(), 6);
+        // The drain's last boundary raised the floor past every ticket and
+        // pruned the set and the order witness down to nothing.
+        assert_eq!(d.settled.floor, 6);
+        assert!(d.settled.above.is_empty());
+        assert!(d.session_progress.is_empty());
+        let double_serves = |d: &FrontDoor| d.stats().recovery.double_serves;
+        assert_eq!(double_serves(&d), 0);
+        // A settle below the floor is a second completion of a ticket that
+        // already settled: the witness still sees it.
+        d.witness_settle(&stamps[2]);
+        assert_eq!(double_serves(&d), 1);
+        // At or above the floor, the first settle is fine and a second one
+        // is caught by the sparse set.
+        d.submit(benign(6));
+        d.prune_settled();
+        let fresh = EntryStamp {
+            ticket: TicketId::new(6),
+            ..stamps[0]
+        };
+        d.witness_settle(&fresh);
+        assert_eq!(double_serves(&d), 1);
+        d.witness_settle(&fresh);
+        assert_eq!(double_serves(&d), 2);
     }
 }

@@ -20,20 +20,24 @@
 //!   garbage and recovery may truncate it at the first bad checksum.
 //! * [`SnapshotData`] — periodic snapshots of the control plane at
 //!   quiescent points (no batch in flight): queue contents, ticket
-//!   counter, idempotency set, per-session order witness, degradation
-//!   mode, per-shard quarantine and KV-invalidation flags, and the
-//!   admission statistics.
+//!   counter, the completed tickets at or above the settled floor, the
+//!   order witness of sessions with queued work, degradation mode,
+//!   per-shard quarantine and KV-invalidation flags, and the admission
+//!   statistics. A snapshot holds live state only, so its size does not
+//!   grow with history. The store keeps the newest snapshot plus one
+//!   fallback.
 //! * [`rebuild`] — recovery: load the latest snapshot that passes its
-//!   checksums (skipping corrupt ones), replay the WAL suffix after its
-//!   offset, and fold both into a [`ReplayState`] whose queue holds
+//!   checksums (skipping a corrupt one), read only the WAL suffix after
+//!   its offset, and fold both into a [`ReplayState`] whose queue holds
 //!   exactly the acked-but-uncompleted work sorted by `(arrival, ticket)`
-//!   — preserving per-session prefix order — and whose completed set
-//!   guarantees `TicketId`-keyed exactly-once completion.
+//!   — preserving per-session prefix order. Its settled floor (every
+//!   ticket below it is settled or gone) plus the completed tickets above
+//!   it guarantee `TicketId`-keyed exactly-once completion.
 //!
 //! Replay cost is charged to the fleet clock as downtime
 //! ([`SNAPSHOT_LOAD_NS_PER_BYTE`], [`WAL_REPLAY_NS_PER_RECORD`]), so the
-//! e20 bench can show recovery time scaling with the WAL *suffix* rather
-//! than total history.
+//! e20 bench can show recovery time scaling with the WAL *suffix* and the
+//! live state rather than total history.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +50,6 @@ pub mod wal;
 pub use replay::{rebuild, ReplayState};
 pub use snapshot::SnapshotData;
 pub use store::{
-    downtime_end, JournalConfig, JournalStore, Recovered, SNAPSHOT_LOAD_NS_PER_BYTE,
-    WAL_REPLAY_NS_PER_RECORD,
+    JournalConfig, JournalStore, Recovered, SNAPSHOT_LOAD_NS_PER_BYTE, WAL_REPLAY_NS_PER_RECORD,
 };
 pub use wal::{CompletionKind, WalRecord, WalScan, WriteAheadLog};

@@ -5,23 +5,31 @@
 //! acked-but-uncompleted tickets — entries still queued at the crash plus
 //! dispatched-but-uncompleted in-flight work — sorted by `(arrival,
 //! ticket)` so per-session prefix order is preserved across the crash
-//! boundary. The completed set holds every ticket whose response was ever
-//! released to a caller, keyed by `TicketId`, guaranteeing exactly-once
-//! completion.
+//! boundary. Idempotency is a low watermark plus a sparse set above it:
+//! every ticket below the settled floor is settled or gone, and the
+//! completed set holds the tickets at or above it whose response was
+//! released to a caller, keyed by `TicketId`. Together they guarantee
+//! exactly-once completion.
 
 use crate::store::Recovered;
 use crate::wal::WalRecord;
 use guillotine_admit::{AdmissionStats, EntryStamp};
+use std::collections::{HashMap, HashSet};
 
 /// Control-plane state rebuilt by [`rebuild`].
 #[derive(Debug, Clone, Default)]
 pub struct ReplayState {
     /// Acked-but-uncompleted entries, sorted by `(arrival, ticket)`.
     pub queue: Vec<(EntryStamp, String)>,
-    /// Tickets whose completion was committed before the crash (raw ids).
+    /// The settled floor: every ticket below it is settled or gone. Taken
+    /// from the snapshot (its smallest queued ticket, or its
+    /// `next_ticket` when its queue was empty); 0 without one.
+    pub floor: u32,
+    /// Tickets at or above `floor` whose completion was committed before
+    /// the crash (raw ids, ascending).
     pub completed: Vec<u32>,
     /// Per-session order witness: `(session raw, latest completed arrival
-    /// ns)`.
+    /// ns)`, ascending by session.
     pub progress: Vec<(u32, u64)>,
     /// The ticket counter to resume minting from.
     pub next_ticket: u32,
@@ -44,11 +52,18 @@ pub fn rebuild(recovered: &Recovered) -> ReplayState {
     // the replay allocation-light and deterministic.
     let mut queued: Vec<(EntryStamp, String)> = Vec::new();
     let mut in_flight: Vec<(EntryStamp, String)> = Vec::new();
+    let mut completed: HashSet<u32> = HashSet::new();
+    let mut progress: HashMap<u32, u64> = HashMap::new();
     if let Some(snapshot) = &recovered.snapshot {
         queued = snapshot.queue.clone();
-        state.completed = snapshot.completed.clone();
-        state.progress = snapshot.progress.clone();
         state.next_ticket = snapshot.next_ticket;
+        state.floor = queued
+            .iter()
+            .map(|(stamp, _)| stamp.ticket.raw())
+            .min()
+            .unwrap_or(snapshot.next_ticket);
+        completed.extend(snapshot.completed.iter().copied());
+        progress.extend(snapshot.progress.iter().copied());
         state.mode_rank = snapshot.mode_rank;
         state.stats = snapshot.stats.clone();
     }
@@ -59,8 +74,9 @@ pub fn rebuild(recovered: &Recovered) -> ReplayState {
                 let raw = stamp.ticket.raw();
                 // Replay is idempotent against the snapshot boundary: an
                 // enqueue already captured by the snapshot or already
-                // completed never re-enters the queue.
-                let known = state.completed.contains(&raw)
+                // settled never re-enters the queue.
+                let known = raw < state.floor
+                    || completed.contains(&raw)
                     || queued.iter().any(|(s, _)| s.ticket == stamp.ticket);
                 if !known {
                     queued.push((*stamp, payload.clone()));
@@ -101,20 +117,14 @@ pub fn rebuild(recovered: &Recovered) -> ReplayState {
                 arrival,
                 ..
             } => {
-                let raw = ticket.raw();
-                if !state.completed.contains(&raw) {
-                    state.completed.push(raw);
-                }
+                completed.insert(ticket.raw());
                 if let Some(index) = in_flight.iter().position(|(s, _)| s.ticket == *ticket) {
                     in_flight.remove(index);
                 } else if let Some(index) = queued.iter().position(|(s, _)| s.ticket == *ticket) {
                     queued.remove(index);
                 }
-                let arrival_ns = arrival.as_nanos();
-                match state.progress.iter_mut().find(|(s, _)| *s == session.raw()) {
-                    Some((_, latest)) => *latest = (*latest).max(arrival_ns),
-                    None => state.progress.push((session.raw(), arrival_ns)),
-                }
+                let latest = progress.entry(session.raw()).or_default();
+                *latest = (*latest).max(arrival.as_nanos());
             }
         }
     }
@@ -127,6 +137,10 @@ pub fn rebuild(recovered: &Recovered) -> ReplayState {
     queued.sort_by_key(|(stamp, _)| (stamp.arrival, stamp.ticket.raw()));
     state.stats.depth.set(queued.len() as u64);
     state.queue = queued;
+    state.completed = completed.into_iter().collect();
+    state.completed.sort_unstable();
+    state.progress = progress.into_iter().collect();
+    state.progress.sort_unstable();
     state
 }
 
@@ -234,8 +248,15 @@ mod tests {
         let full = rebuild(&plain.recover());
         let suffix = rebuild(&snapped.recover());
         assert_eq!(full.queue, suffix.queue);
-        assert_eq!(full.completed.len(), suffix.completed.len());
         assert_eq!(full.next_ticket, suffix.next_ticket);
+        // The snapshot raised the floor past ticket 0; both replays still
+        // judge exactly the same tickets settled.
+        assert_eq!((full.floor, suffix.floor), (0, 1));
+        let settled =
+            |state: &ReplayState, raw: u32| raw < state.floor || state.completed.contains(&raw);
+        for raw in 0..full.next_ticket {
+            assert_eq!(settled(&full, raw), settled(&suffix, raw), "ticket {raw}");
+        }
         assert!(suffix.replayed < full.replayed, "suffix replay is shorter");
     }
 

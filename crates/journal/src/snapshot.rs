@@ -28,10 +28,14 @@ pub struct SnapshotData {
     pub mode_rank: u8,
     /// The queued entries (stamp plus wire-form payload), in queue order.
     pub queue: Vec<(EntryStamp, String)>,
-    /// Tickets already completed (the idempotency set).
+    /// Completed tickets at or above the settled floor (the idempotency
+    /// set). The floor is not stored: it is the smallest queued ticket, or
+    /// `next_ticket` when the queue is empty, and every ticket below it is
+    /// settled or gone.
     pub completed: Vec<u32>,
-    /// Per-session order witness: latest arrival instant completed per
-    /// session, as `(session raw, arrival ns)`.
+    /// Per-session order witness of the sessions with queued work: latest
+    /// arrival instant completed per session, as `(session raw, arrival
+    /// ns)`. A session with nothing queued has no older request live.
     pub progress: Vec<(u32, u64)>,
     /// Per-shard quarantine flags (the fleet console's quorum state).
     pub quarantined: Vec<bool>,
@@ -231,12 +235,6 @@ impl SnapshotData {
         }
         saw_end.then_some(snapshot)
     }
-
-    /// The snapshot's serialized size in bytes — the recovery cost model
-    /// charges per byte loaded.
-    pub fn encoded_len(&self) -> u64 {
-        self.encode().len() as u64
-    }
 }
 
 #[cfg(test)]
@@ -305,7 +303,6 @@ mod tests {
         let blob = snapshot.encode();
         let decoded = SnapshotData::decode(&blob).expect("clean snapshot decodes");
         assert_eq!(decoded, snapshot);
-        assert_eq!(snapshot.encoded_len(), blob.len() as u64);
     }
 
     #[test]

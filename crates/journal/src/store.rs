@@ -3,13 +3,17 @@
 
 use crate::snapshot::SnapshotData;
 use crate::wal::{WalRecord, WriteAheadLog};
-use guillotine_types::{SimDuration, SimInstant};
+use guillotine_types::SimDuration;
 
 /// Simulated cost of loading one snapshot byte at recovery.
 pub const SNAPSHOT_LOAD_NS_PER_BYTE: u64 = 2;
 
 /// Simulated cost of replaying one WAL record at recovery.
 pub const WAL_REPLAY_NS_PER_RECORD: u64 = 400;
+
+/// Snapshots the chain keeps: the newest plus one fallback. If both are
+/// corrupt, recovery replays the whole WAL, which keeps every record.
+const SNAPSHOT_CHAIN: usize = 2;
 
 /// Journal configuration carried by the control plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,8 +32,8 @@ impl Default for JournalConfig {
     }
 }
 
-/// The durable side of the control plane: the WAL and the snapshot chain,
-/// both modeled as the bytes a recovery would read back.
+/// The durable side of the control plane: the WAL and the two-deep
+/// snapshot chain, both modeled as the bytes a recovery would read back.
 #[derive(Debug, Clone, Default)]
 pub struct JournalStore {
     wal: WriteAheadLog,
@@ -70,13 +74,12 @@ impl JournalStore {
         self.wal.len()
     }
 
-    /// The WAL, for inspection and fault injection.
-    pub fn wal(&self) -> &WriteAheadLog {
-        &self.wal
-    }
-
-    /// Persists one snapshot at the end of the chain.
+    /// Persists one snapshot at the end of the chain, dropping the oldest
+    /// once the chain holds two.
     pub fn take_snapshot(&mut self, data: &SnapshotData) {
+        if self.snapshots.len() == SNAPSHOT_CHAIN {
+            self.snapshots.remove(0);
+        }
         self.snapshots.push(data.encode());
     }
 
@@ -110,8 +113,9 @@ impl JournalStore {
     }
 
     /// Runs recovery against the store: walk the snapshot chain newest to
-    /// oldest until one decodes cleanly, then replay the WAL suffix from
-    /// its offset, truncating a torn tail at the first bad checksum.
+    /// oldest until one decodes cleanly, then read only the WAL suffix from
+    /// its offset (the whole log when neither snapshot decodes), truncating
+    /// a torn tail at the first bad checksum.
     pub fn recover(&self) -> Recovered {
         let mut snapshots_skipped = 0u64;
         let mut snapshot = None;
@@ -156,17 +160,11 @@ impl JournalStore {
     }
 }
 
-/// A deterministic instant helper for recovery accounting: where the fleet
-/// clock lands after paying the replay cost.
-pub fn downtime_end(crash_at: SimInstant, recovered: &Recovered) -> SimInstant {
-    crash_at + recovered.replay_cost
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use guillotine_admit::{AdmissionStats, EntryStamp};
-    use guillotine_types::{SessionId, TicketId};
+    use guillotine_types::{SessionId, SimInstant, TicketId};
 
     fn enqueue(ticket: u32) -> WalRecord {
         WalRecord::Enqueue {
@@ -227,6 +225,31 @@ mod tests {
         let snapshot = recovered.snapshot.expect("older snapshot still valid");
         assert_eq!(snapshot.wal_offset, 2);
         assert_eq!(recovered.suffix.len(), 2);
+    }
+
+    #[test]
+    fn the_chain_keeps_two_snapshots_and_falls_back_to_the_whole_wal() {
+        let mut store = JournalStore::new();
+        for i in 0..6 {
+            store.append(&enqueue(i));
+            if i % 2 == 1 {
+                store.take_snapshot(&snapshot_at(u64::from(i) + 1));
+            }
+        }
+        assert_eq!(store.dump_snapshots().matches("--- snapshot ").count(), 2);
+        assert!(store.corrupt_latest_snapshot());
+        let fallback = store.recover();
+        assert_eq!(fallback.snapshots_skipped, 1);
+        assert_eq!(fallback.snapshot.map(|s| s.wal_offset), Some(4));
+        assert_eq!(fallback.suffix.len(), 2);
+        // A fresh snapshot evicts the fallback; corrupting it too leaves no
+        // valid snapshot, and recovery replays the WAL from the start.
+        store.take_snapshot(&snapshot_at(6));
+        assert!(store.corrupt_latest_snapshot());
+        let full = store.recover();
+        assert!(full.snapshot.is_none());
+        assert_eq!(full.snapshots_skipped, 2);
+        assert_eq!(full.suffix.len(), 6);
     }
 
     #[test]

@@ -255,8 +255,8 @@ impl WriteAheadLog {
         self.torn_tail = Some(half);
     }
 
-    /// The file bytes a recovery would read: every committed line plus the
-    /// torn tail, newline-separated.
+    /// The file bytes: every committed line plus the torn tail,
+    /// newline-separated.
     pub fn bytes(&self) -> String {
         let mut out = self.lines.join("\n");
         if let Some(tail) = &self.torn_tail {
@@ -268,33 +268,22 @@ impl WriteAheadLog {
         out
     }
 
-    /// Scans the log *as read from its bytes* — every line re-verified
-    /// against its checksum — starting at record `offset`. Stops at the
-    /// first unreadable line (bad frame, bad checksum, or undecodable
-    /// body): everything after a torn point is untrusted. Returns the
-    /// decoded suffix and how many trailing lines were truncated.
+    /// Scans the log from record `offset`, re-verifying every line it
+    /// reads against its checksum. Only the suffix is read: lines before
+    /// `offset` were committed whole, and a tear can only sit at the tail,
+    /// so skipping them changes nothing. Stops at the first unreadable line
+    /// (bad frame, bad checksum, or undecodable body): everything after a
+    /// torn point is untrusted. Returns the decoded suffix and how many
+    /// trailing lines were truncated.
     pub fn replay_from(&self, offset: u64) -> WalScan {
-        let bytes = self.bytes();
-        let mut records = Vec::new();
-        let mut index = 0u64;
+        let start = usize::try_from(offset).map_or(self.lines.len(), |o| o.min(self.lines.len()));
+        let suffix = self.lines[start..].iter().map(String::as_str);
+        let mut records = Vec::with_capacity(self.lines.len() - start);
         let mut truncated = 0u64;
-        let mut torn = false;
-        for line in bytes.lines() {
-            if torn {
-                truncated += 1;
-                continue;
-            }
+        for line in suffix.chain(self.torn_tail.as_deref()) {
             match unframe(line).and_then(WalRecord::decode) {
-                Some(record) => {
-                    if index >= offset {
-                        records.push(record);
-                    }
-                    index += 1;
-                }
-                None => {
-                    torn = true;
-                    truncated += 1;
-                }
+                Some(record) if truncated == 0 => records.push(record),
+                _ => truncated += 1,
             }
         }
         WalScan { records, truncated }
@@ -314,6 +303,7 @@ pub struct WalScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn stamp(ticket: u32, session: u32, arrival: u64) -> EntryStamp {
         EntryStamp {
@@ -415,5 +405,52 @@ mod tests {
         let scan = wal.replay_from(0);
         assert!(scan.records.is_empty());
         assert_eq!(scan.truncated, 1);
+    }
+
+    proptest! {
+        /// Reading only the suffix is exact: for every offset `k`, the
+        /// suffix scan equals the full scan's records from `k` on, with and
+        /// without a torn tail.
+        #[test]
+        fn suffix_replay_equals_the_full_replay_from_the_offset(
+            kinds in collection::vec(0u32..4, 0..24),
+            torn in any::<bool>(),
+        ) {
+            let mut wal = WriteAheadLog::new();
+            for (i, kind) in kinds.iter().enumerate() {
+                let ticket = TicketId::new(i as u32);
+                let record = match kind {
+                    0 => WalRecord::Enqueue {
+                        stamp: stamp(i as u32, 1, i as u64 * 10),
+                        payload: format!("req {i}"),
+                    },
+                    1 => WalRecord::Shed { ticket },
+                    2 => WalRecord::Dispatch {
+                        at: SimInstant::from_nanos(i as u64 * 10),
+                        tickets: vec![ticket],
+                    },
+                    _ => WalRecord::Complete {
+                        ticket,
+                        at: SimInstant::from_nanos(i as u64 * 10),
+                        outcome: CompletionKind::Delivered,
+                        session: SessionId::new(1),
+                        arrival: SimInstant::from_nanos(i as u64),
+                    },
+                };
+                wal.append(&record);
+            }
+            if torn {
+                wal.tear();
+            }
+            let full = wal.replay_from(0);
+            prop_assert_eq!(full.records.len(), kinds.len());
+            prop_assert_eq!(full.truncated, u64::from(torn));
+            for k in 0..=kinds.len() + 2 {
+                let scan = wal.replay_from(k as u64);
+                let from = k.min(full.records.len());
+                prop_assert_eq!(&scan.records[..], &full.records[from..]);
+                prop_assert_eq!(scan.truncated, full.truncated);
+            }
+        }
     }
 }

@@ -13,6 +13,7 @@ use guillotine::fleet::GuillotineFleet;
 use guillotine::recovery::RecoveryConfig;
 use guillotine::serve::ServeRequest;
 use guillotine::{AdmissionDecision, DeadlinePolicy, KvCacheConfig, ShedPolicy};
+use guillotine_journal::SnapshotData;
 use guillotine_types::{SessionId, SimDuration, SimInstant};
 use proptest::prelude::*;
 
@@ -269,6 +270,49 @@ fn chaos_trace_records_durability_fault_consequences() {
     let stats = d.stats();
     assert_eq!(stats.recovery.acked_lost, 0);
     assert_eq!(stats.recovery.double_serves, 0);
+}
+
+/// Control-plane state is O(live), not O(history): after N and after 4N
+/// arrivals of the same shape, the chain holds at most two snapshots, and
+/// the newest one's idempotency set and order witness stay within the
+/// in-flight bound (queue capacity plus one batch), whatever N is.
+#[test]
+fn snapshots_hold_live_state_not_history() {
+    const CAPACITY: usize = 256;
+    const MAX_BATCH: usize = 4;
+    let newest = |n: u32| {
+        let mut d = journaled_door(2);
+        // Every request its own session, so history would show in both.
+        let (decisions, responses) = d.play(arrivals(n, n)).unwrap();
+        assert_eq!(responses.len(), admitted_count(&decisions));
+        let dump = d.journal_store().expect("journaled").dump_snapshots();
+        let blobs: Vec<&str> = dump
+            .split("--- snapshot ")
+            .skip(1)
+            .map(|part| part.split_once(" ---\n").expect("header").1)
+            .collect();
+        assert!(
+            blobs.len() <= 2,
+            "{n} arrivals kept {} snapshots",
+            blobs.len()
+        );
+        let newest = blobs.last().expect("a snapshot was taken");
+        SnapshotData::decode(newest.trim_end()).expect("the newest snapshot decodes")
+    };
+    for n in [300, 1200] {
+        let snapshot = newest(n);
+        let bound = CAPACITY + MAX_BATCH;
+        assert!(
+            snapshot.completed.len() <= bound,
+            "{n} arrivals: {} completed tickets in the snapshot",
+            snapshot.completed.len()
+        );
+        assert!(
+            snapshot.progress.len() <= bound,
+            "{n} arrivals: {} sessions in the snapshot",
+            snapshot.progress.len()
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
